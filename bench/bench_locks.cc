@@ -25,7 +25,8 @@ namespace {
 // CPU. Returns true when the benchmark must bail (after draining state).
 bool RefuseContendedOn1Cpu(benchmark::State& state) {
   const unsigned n = std::thread::hardware_concurrency();
-  state.counters["num_cpus"] = static_cast<double>(n);
+  state.counters["num_cpus"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kAvgThreads);
   if (state.threads() > 1 && n <= 1) {
     state.SkipWithError(
         "1 CPU: contended lock numbers would be scheduling noise");

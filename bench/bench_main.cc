@@ -4,7 +4,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -16,30 +15,10 @@
 #include "src/base/spinlock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
+#include "src/threads/nub.h"
+#include "src/waitq/parker.h"
 
 namespace taos::benchmain {
-namespace {
-
-bool GlobalLockModeFromEnv() {
-  const char* v = std::getenv("TAOS_NUB_GLOBAL_LOCK");
-  return v != nullptr && v[0] == '1';
-}
-
-// The waiter-queue substrate selection, resolved the same way the Nub does
-// at startup: the TAOS_WAITQ env var wins, else the compiled-in default.
-// (bench_main can't ask the Nub directly — it links below taos_threads.)
-bool WaitqModeFromConfig() {
-  if (const char* v = std::getenv("TAOS_WAITQ")) {
-    return v[0] == '1';
-  }
-#ifdef TAOS_WAITQ_DEFAULT
-  return true;
-#else
-  return false;
-#endif
-}
-
-}  // namespace
 
 int Run(int argc, char** argv, const char* bench_name) {
   bool quick = false;
@@ -92,12 +71,11 @@ int Run(int argc, char** argv, const char* bench_name) {
     // can't mix up runs.
     obs::SetTraceMetadata("bench", bench_name);
     obs::SetTraceMetadata("lock_backend", LockBackendName(SpinLock::backend()));
-    obs::SetTraceMetadata("waitq", WaitqModeFromConfig() ? "waitq" : "classic");
-    obs::SetTraceMetadata("global_lock",
-                          GlobalLockModeFromEnv() ? "global" : "sharded");
-    if (const char* parker = std::getenv("TAOS_WAITQ_PARKER")) {
-      obs::SetTraceMetadata("parker", parker);
-    }
+    obs::SetTraceMetadata(
+        "global_lock", Nub::Get().global_lock_mode() ? "global" : "sharded");
+    const bool futex = waitq::Parker::DefaultBackend() ==
+                       waitq::Parker::Backend::kFutex;
+    obs::SetTraceMetadata("parker", futex ? "futex" : "condvar");
     obs::SetRecorderEnabled(true);
   }
 
@@ -145,7 +123,7 @@ int Run(int argc, char** argv, const char* bench_name) {
       << "  \"lock_backend\": \""
       << LockBackendName(SpinLock::backend()) << "\",\n"
       << "  \"global_lock_mode\": "
-      << (GlobalLockModeFromEnv() ? "true" : "false") << ",\n"
+      << (Nub::Get().global_lock_mode() ? "true" : "false") << ",\n"
       << "  \"metrics\": " << obs::ReportJson() << ",\n"
       << "  \"benchmark\": " << gbench_json << "\n"
       << "}\n";

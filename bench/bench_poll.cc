@@ -49,7 +49,8 @@ constexpr std::size_t kCapacity = 16;
 // state).
 bool RefuseContendedOn1Cpu(benchmark::State& state) {
   const unsigned n = std::thread::hardware_concurrency();
-  state.counters["num_cpus"] = static_cast<double>(n);
+  state.counters["num_cpus"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kAvgThreads);
   if (n <= 1) {
     state.SkipWithError(
         "1 CPU: fan-in handoff numbers would be scheduling noise");
@@ -194,8 +195,9 @@ void BM_FanInDedicated(benchmark::State& state) { FanInBench(state, false); }
 // park — the scan-and-consume path alone. Valid on any core count (nothing
 // contends), so it still reports on the 1-CPU CI host.
 void BM_WaitAnyFastPath(benchmark::State& state) {
-  state.counters["num_cpus"] =
-      static_cast<double>(std::thread::hardware_concurrency());
+  state.counters["num_cpus"] = benchmark::Counter(
+      static_cast<double>(std::thread::hardware_concurrency()),
+      benchmark::Counter::kAvgThreads);
   Event a(EventReset::kAuto);
   Event b(EventReset::kAuto);
   Poll poll;
@@ -210,8 +212,9 @@ void BM_WaitAnyFastPath(benchmark::State& state) {
 // Same path through Event alone: Set-then-Wait on an auto event, the
 // quiescent pulse a fan-in server pays per request even with no queueing.
 void BM_EventSetThenWait(benchmark::State& state) {
-  state.counters["num_cpus"] =
-      static_cast<double>(std::thread::hardware_concurrency());
+  state.counters["num_cpus"] = benchmark::Counter(
+      static_cast<double>(std::thread::hardware_concurrency()),
+      benchmark::Counter::kAvgThreads);
   Event e(EventReset::kAuto);
   for (auto _ : state) {
     e.Set();

@@ -31,7 +31,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"sem.release_window", Category::kGeneric},
     {"sem.timed_finish", Category::kTimer},
     {"cond.release_to_block", Category::kGeneric},
-    {"cond.claim_to_recheck", Category::kAfterCas},
+    {"cond.locked_to_recheck", Category::kAfterCas},
     {"cond.signal_to_resume", Category::kGeneric},
     {"cond.timed_finish", Category::kTimer},
     {"alert.flag_to_cancel", Category::kCancel},
@@ -41,10 +41,6 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"timer.cancel", Category::kTimer},
     {"timer.expiry_to_cancel", Category::kCancel},
     {"timer.batch_gap", Category::kTimer},
-    {"waitq.claim", Category::kAfterCas},
-    {"waitq.install", Category::kAfterCas},
-    {"waitq.resume", Category::kGeneric},
-    {"waitq.cancel", Category::kCancel},
     {"parker.before_park", Category::kBeforePark},
     {"parker.before_unpark", Category::kBeforeUnpark},
     {"parker.timed_return", Category::kTimer},

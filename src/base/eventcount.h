@@ -25,12 +25,10 @@ class EventCount {
   EventCount(const EventCount&) = delete;
   EventCount& operator=(const EventCount&) = delete;
 
-  // Atomically readable. seq_cst: in the lock-free waiter-queue mode
-  // (TAOS_WAITQ=1) Wait's claim-then-Read races Signal's Advance-then-scan
-  // with no common lock, and the wakeup-waiting race is closed by a
-  // Dekker-style argument over the seq_cst total order — at least one side
-  // must see the other (condition.cc). Under the classic Nub both sides run
-  // under the object's spin-lock and acquire/release would suffice.
+  // Atomically readable. Block's re-read and Signal's Advance both run
+  // under the condition's spin-lock, so acquire/release would suffice;
+  // seq_cst is kept as the conservative order (on x86 the load is a plain
+  // mov either way, and Advance is a locked RMW regardless).
   Value Read() const { return count_.load(std::memory_order_seq_cst); }
 
   // Monotonically increasing. Returns the value after the increment.

@@ -30,7 +30,7 @@
 //     reason rule 3's try-lock dance stays safe under both cores.
 //
 // The core is selected process-wide at runtime: TAOS_LOCK={tas,mcs,clh} at
-// startup (the same way TAOS_WAITQ selects the waiter-queue substrate), or
+// startup (the same way TAOS_NUB_GLOBAL_LOCK selects lock sharding), or
 // SetBackend() while the process is quiescent — every SpinLock instance
 // must be free across a switch, because each core keeps its own idea of
 // "held" (the TAS bit vs the queue tail).

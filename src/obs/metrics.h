@@ -70,14 +70,11 @@ enum class Counter : int {
   kClhQueuedAcquires,     // CLH acquisitions that queued behind a holder
   kEventCountAdvances,    // EventCount::Advance calls (Signal/Broadcast)
 
-  // --- waiter-queue substrate (src/waitq; active with TAOS_WAITQ=1) ---
-  kWaitqEnqueues,          // cells claimed (lock-free enqueues)
-  kWaitqResumes,           // WAITING cells granted FIFO (a parker to unpark)
-  kWaitqImmediateGrants,   // EMPTY cells granted (claimant not yet parked)
-  kWaitqCancels,           // cells cancelled (Alert or claimant back-out)
-  kWaitqCancelSkips,       // cancelled cells the consumer stepped over
-  kWaitqSegmentsAllocated,
-  kWaitqSegmentsRetired,
+  // --- no producer; kept only because perfbench/src/layers.cc reads them ---
+  kWaitqEnqueues,
+  kWaitqResumes,
+  kWaitqImmediateGrants,
+  kWaitqCancels,
 
   // --- parker backends (src/waitq/parker) ---
   kParkFutexWaits,    // FUTEX_WAIT calls (incl. re-checks after EAGAIN)

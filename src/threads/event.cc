@@ -20,13 +20,11 @@ Event::Event(EventReset reset)
 
 Event::~Event() {
   TAOS_CHECK(queue_.Empty());
-  TAOS_CHECK(wqueue_.DrainedForDebug());
   // REQUIRES no live poll registrations: a Poll waiter's PollNode points
   // into a stack frame that outlives its WaitAny/WaitAll call, not this
   // object.
   TAOS_CHECK(pollers_.next == &pollers_);
   TAOS_CHECK(pollers_len_.load(std::memory_order_relaxed) == 0);
-  TAOS_CHECK(pqueue_.DrainedForDebug());
 }
 
 void Event::Set() {
@@ -120,10 +118,6 @@ WaitResult Event::WaitFor(std::chrono::nanoseconds timeout) {
 void Event::NubWait(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  if (nub.waitq_mode()) {
-    WaitqWait(self);
-    return;
-  }
   for (;;) {
     bool parked = false;
     {
@@ -151,43 +145,9 @@ void Event::NubWait(ThreadRecord* self) {
   }
 }
 
-void Event::WaitqWait(ThreadRecord* self) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    queue_len_.fetch_add(1, std::memory_order_seq_cst);
-    if (set_.load(std::memory_order_seq_cst) == 0) {
-      {
-        SpinGuard tg(self->lock);
-        parked =
-            InstallBlockedLocked(self, cell, ThreadRecord::BlockKind::kEvent,
-                                 this, id_, &nub_lock_, /*alertable=*/false);
-      }
-      if (parked) {
-        ParkBlocked(self);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    if (TryConsume(std::memory_order_acquire)) {
-      return;
-    }
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
 bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  if (nub.waitq_mode()) {
-    return WaitqWaitFor(self, deadline_ns);
-  }
   for (;;) {
     bool parked = false;
     std::uint64_t gen = 0;
@@ -227,48 +187,6 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-bool Event::WaitqWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    queue_len_.fetch_add(1, std::memory_order_seq_cst);
-    if (set_.load(std::memory_order_seq_cst) == 0) {
-      std::uint64_t gen = 0;
-      {
-        SpinGuard tg(self->lock);
-        parked =
-            InstallBlockedLocked(self, cell, ThreadRecord::BlockKind::kEvent,
-                                 this, id_, &nub_lock_, /*alertable=*/false);
-        if (parked) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
-      }
-      if (parked) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-        ParkBlocked(self);
-        Timer::Get().Cancel(self, gen);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    if (TryConsume(std::memory_order_acquire)) {
-      return true;
-    }
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-    if (expired || obs::NowNanos() >= deadline_ns) {
-      return false;
-    }
-  }
-}
-
 void Event::NubSet() {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
@@ -291,36 +209,18 @@ void Event::NubSet() {
 // waiter AND notifies every poller (all of them can observe the flag).
 // REQUIRES nub_lock_ held and set_ already published as 1.
 void Event::ResumeForSetLocked(std::vector<waitq::Parker*>* unparks) {
-  Nub& nub = Nub::Get();
   bool woke_plain = false;
-  if (nub.waitq_mode()) {
-    for (;;) {
-      const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-      if (!r.resumed) {
-        break;
-      }
-      queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      woke_plain = true;
-      if (r.parker != nullptr) {
-        unparks->push_back(r.parker);
-      }
-      if (reset_ == EventReset::kAuto) {
-        break;
-      }
+  for (;;) {
+    ThreadRecord* wake = queue_.PopFront();
+    if (wake == nullptr) {
+      break;
     }
-  } else {
-    for (;;) {
-      ThreadRecord* wake = queue_.PopFront();
-      if (wake == nullptr) {
-        break;
-      }
-      queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      MarkUnblocked(wake);
-      unparks->push_back(&wake->park);
-      woke_plain = true;
-      if (reset_ == EventReset::kAuto) {
-        break;
-      }
+    queue_len_.fetch_sub(1, std::memory_order_relaxed);
+    MarkUnblocked(wake);
+    unparks->push_back(&wake->park);
+    woke_plain = true;
+    if (reset_ == EventReset::kAuto) {
+      break;
     }
   }
   // An auto-reset pulse taken by a plain waiter is consumed (or, if the
@@ -333,26 +233,8 @@ void Event::ResumeForSetLocked(std::vector<waitq::Parker*>* unparks) {
 }
 
 void Event::NotifyPollersLocked(std::vector<waitq::Parker*>* unparks) {
-  if (Nub::Get().waitq_mode()) {
-    // Notification consumes the registration cell; the poller refreshes it
-    // (under this lock) on its next scan. pollers_len_ drops here so a
-    // second Set before the refresh skips the Nub — benign, because the
-    // poller's refresh re-scans the flag before it can park again.
-    for (;;) {
-      const waitq::WaitQueue::Resumed r = pqueue_.ResumeOne();
-      if (!r.resumed) {
-        break;
-      }
-      pollers_len_.fetch_sub(1, std::memory_order_relaxed);
-      ThreadRecord* rec = static_cast<ThreadRecord*>(r.tag);
-      // Cells are installed under this ObjLock, so no immediate grants.
-      TAOS_CHECK(rec != nullptr);
-      NotifyPoller(rec, unparks);
-    }
-  } else {
-    for (PollNode* n = pollers_.next; n != &pollers_; n = n->next) {
-      NotifyPoller(n->rec, unparks);
-    }
+  for (PollNode* n = pollers_.next; n != &pollers_; n = n->next) {
+    NotifyPoller(n->rec, unparks);
   }
 }
 
@@ -379,29 +261,14 @@ void Event::NotifyPoller(ThreadRecord* rec,
 }
 
 void Event::RegisterPollerLocked(PollNode* node) {
-  if (Nub::Get().waitq_mode()) {
-    if (node->cell != nullptr) {
-      if (node->cell->state() == waitq::WaitCell::State::kWaiting) {
-        return;  // still registered
-      }
-      // A notification consumed the old cell; this scan is its replacement.
-      waitq::WaitQueue::Detach(node->cell);
-      node->cell = nullptr;
-    }
-    waitq::WaitCell* cell = pqueue_.Enqueue();
-    // Cannot fail: resumers hold this ObjLock, which the caller holds.
-    TAOS_CHECK(cell->Install(&node->rec->park, node->rec));
-    node->cell = cell;
-  } else {
-    if (node->linked) {
-      return;
-    }
-    node->prev = pollers_.prev;
-    node->next = &pollers_;
-    pollers_.prev->next = node;
-    pollers_.prev = node;
-    node->linked = true;
+  if (node->linked) {
+    return;
   }
+  node->prev = pollers_.prev;
+  node->next = &pollers_;
+  pollers_.prev->next = node;
+  pollers_.prev = node;
+  node->linked = true;
   pollers_len_.fetch_add(1, std::memory_order_seq_cst);
   obs::Inc(obs::Counter::kPollRegistrations);
   TAOS_CHAOS(kPollRegister);
@@ -409,31 +276,16 @@ void Event::RegisterPollerLocked(PollNode* node) {
 
 void Event::DeregisterPoller(PollNode* node) {
   TAOS_CHAOS(kPollDeregister);
-  if (Nub::Get().waitq_mode()) {
-    if (node->cell == nullptr) {
-      return;
-    }
-    // O(1) abort-as-cancellation: one CAS, no event lock. Losing to a
-    // resume means a Set's notification is in flight — it only flips the
-    // latch (already decremented pollers_len_), never consumes anything on
-    // our behalf, so letting it stand loses no signal.
-    if (node->cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-      pollers_len_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    waitq::WaitQueue::Detach(node->cell);
-    node->cell = nullptr;
-  } else {
-    if (!node->linked) {
-      return;
-    }
-    NubGuard g(nub_lock_);
-    node->prev->next = node->next;
-    node->next->prev = node->prev;
-    node->prev = nullptr;
-    node->next = nullptr;
-    node->linked = false;
-    pollers_len_.fetch_sub(1, std::memory_order_relaxed);
+  if (!node->linked) {
+    return;
   }
+  NubGuard g(nub_lock_);
+  node->prev->next = node->next;
+  node->next->prev = node->prev;
+  node->prev = nullptr;
+  node->next = nullptr;
+  node->linked = false;
+  pollers_len_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Event::TracedSet(ThreadRecord* self) {
@@ -463,8 +315,6 @@ void Event::TracedWait(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     {
       NubGuard g(nub_lock_);
       if (set_.load(std::memory_order_relaxed) != 0) {
@@ -476,29 +326,12 @@ void Event::TracedWait(ThreadRecord* self) {
         }
         return;
       }
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kEvent, this,
-                                        id_, &nub_lock_,
-                                        /*alertable=*/false));
-      } else {
-        queue_.PushBack(self);
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-      }
-      parked = true;
+      queue_.PushBack(self);
+      queue_len_.fetch_add(1, std::memory_order_relaxed);
+      MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
+                  &nub_lock_, /*alertable=*/false);
     }
-    if (parked) {
-      ParkBlocked(self);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-    }
+    ParkBlocked(self);
   }
 }
 
@@ -506,8 +339,6 @@ bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
@@ -533,35 +364,17 @@ bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         return false;
       }
       gen = ++self->next_timer_gen;
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kEvent, this,
-                                        id_, &nub_lock_,
-                                        /*alertable=*/false));
-        PublishTimedLocked(self, gen);
-      } else {
-        queue_.PushBack(self);
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-      }
-      parked = true;
+      queue_.PushBack(self);
+      queue_len_.fetch_add(1, std::memory_order_relaxed);
+      SpinGuard tg(self->lock);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
+                       &nub_lock_, /*alertable=*/false);
+      PublishTimedLocked(self, gen);
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-      ConsumeTimeoutWoken(self);  // loop-top deadline check decides
-    }
+    Timer::Get().Arm(self, gen, deadline_ns);
+    ParkBlocked(self);
+    Timer::Get().Cancel(self, gen);
+    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
   }
 }
 

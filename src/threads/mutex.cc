@@ -14,7 +14,6 @@ Mutex::Mutex() : id_(Nub::Get().NextObjId()) {}
 
 Mutex::~Mutex() {
   TAOS_CHECK(queue_.Empty());
-  TAOS_CHECK(wqueue_.DrainedForDebug());
   TAOS_CHECK(bit_.load(std::memory_order_relaxed) == 0);
 }
 
@@ -99,10 +98,6 @@ void Mutex::NubAcquire(ThreadRecord* self) {
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
-  if (nub.waitq_mode()) {
-    WaitqAcquire(self);
-    return;
-  }
   for (;;) {
     bool parked = false;
     {
@@ -142,62 +137,11 @@ void Mutex::NubAcquire(ThreadRecord* self) {
   }
 }
 
-void Mutex::WaitqAcquire(ThreadRecord* self) {
-  for (;;) {
-    bool parked = false;
-    // Claim a cell (lock-free), publish the queue length, then re-test the
-    // Lock-bit. The claim-then-test here against Release's clear-then-scan
-    // is the same Dekker pairing as the classic backend's
-    // enqueue-then-test; all four accesses are seq_cst.
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    queue_len_.fetch_add(1, std::memory_order_seq_cst);
-    TAOS_CHAOS(kMutexEnqueuedToTest);
-    if (bit_.load(std::memory_order_seq_cst) != 0) {
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kMutex, this, id_,
-                                      &nub_lock_, /*alertable=*/false);
-      }
-      if (parked) {
-        ParkBlocked(self);
-      }
-      // Install lost only to a resume (mutex waits are not alertable), so
-      // either way the cell was granted and the resumer decremented
-      // queue_len_.
-      FinishWaitCell(self, cell);
-    } else {
-      // Released in the meantime: withdraw the claim and retry. If a racing
-      // Release already granted the cell, the grant stands in for the
-      // unpark this thread no longer needs (queue_len_ then was decremented
-      // by the resumer).
-      TAOS_CHAOS(kMutexBackout);
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    TAOS_CHAOS(kMutexWakeToRetry);
-    // Retry the entire Acquire operation, beginning at the test-and-set;
-    // barging is possible exactly as in the classic backend.
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
 bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
-  if (nub.waitq_mode()) {
-    return WaitqAcquireFor(self, deadline_ns);
-  }
   for (;;) {
     bool parked = false;
     std::uint64_t gen = 0;
@@ -246,52 +190,6 @@ bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-bool Mutex::WaitqAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    queue_len_.fetch_add(1, std::memory_order_seq_cst);
-    TAOS_CHAOS(kMutexEnqueuedToTest);
-    if (bit_.load(std::memory_order_seq_cst) != 0) {
-      std::uint64_t gen = 0;
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kMutex, this, id_,
-                                      &nub_lock_, /*alertable=*/false);
-        if (parked) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
-      }
-      if (parked) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-        ParkBlocked(self);
-        Timer::Get().Cancel(self, gen);
-        TAOS_CHAOS(kMutexTimedFinish);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      TAOS_CHAOS(kMutexBackout);
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return true;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-    if (expired || obs::NowNanos() >= deadline_ns) {
-      return false;
-    }
-  }
-}
-
 void Mutex::Release() {
   obs::WithEvent(obs::Op::kRelease, id_, [&] {
     Nub& nub = Nub::Get();
@@ -323,30 +221,19 @@ void Mutex::NubRelease() {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubRelease);
-  waitq::Parker* unpark = nullptr;
+  ThreadRecord* wake = nullptr;
   {
     NubGuard g(nub_lock_);
-    if (nub.waitq_mode()) {
-      const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-      if (r.resumed) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-        // r.parker is null on an immediate grant (the claimant had not
-        // installed yet and proceeds without parking).
-        unpark = r.parker;
-      }
-    } else {
-      ThreadRecord* wake = queue_.PopFront();
-      if (wake != nullptr) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        unpark = &wake->park;
-      }
+    wake = queue_.PopFront();
+    if (wake != nullptr) {
+      queue_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
     }
   }
-  if (unpark != nullptr) {
+  if (wake != nullptr) {
     // Add it to the ready pool: here, hand its processor back by unparking.
     obs::Inc(obs::Counter::kHandoffs);
-    unpark->Unpark();
+    wake->park.Unpark();
   }
 }
 
@@ -360,8 +247,6 @@ void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit,
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     {
       NubGuard2 g(nub_lock_, co_lock);
       if (bit_.load(std::memory_order_relaxed) == 0) {
@@ -376,28 +261,12 @@ void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit,
         nub.EmitTraced(emit);
         return;
       }
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kMutex, this, id_,
-                                        &nub_lock_, /*alertable=*/false));
-      } else {
-        queue_.PushBack(self);
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        MarkBlocked(self, ThreadRecord::BlockKind::kMutex, this, id_, &nub_lock_,
-                    /*alertable=*/false);
-      }
-      parked = true;
+      queue_.PushBack(self);
+      queue_len_.fetch_add(1, std::memory_order_relaxed);
+      MarkBlocked(self, ThreadRecord::BlockKind::kMutex, this, id_, &nub_lock_,
+                  /*alertable=*/false);
     }
-    if (parked) {
-      ParkBlocked(self);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-    }
+    ParkBlocked(self);
   }
 }
 
@@ -405,8 +274,6 @@ bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
@@ -429,34 +296,17 @@ bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         return false;
       }
       gen = ++self->next_timer_gen;
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kMutex, this, id_,
-                                        &nub_lock_, /*alertable=*/false));
-        PublishTimedLocked(self, gen);
-      } else {
-        queue_.PushBack(self);
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-      }
-      parked = true;
+      queue_.PushBack(self);
+      queue_len_.fetch_add(1, std::memory_order_relaxed);
+      SpinGuard tg(self->lock);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
+                       &nub_lock_, /*alertable=*/false);
+      PublishTimedLocked(self, gen);
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-      ConsumeTimeoutWoken(self);  // loop-top deadline check decides
-    }
+    Timer::Get().Arm(self, gen, deadline_ns);
+    ParkBlocked(self);
+    Timer::Get().Cancel(self, gen);
+    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
   }
 }
 
@@ -481,23 +331,10 @@ ThreadRecord* Mutex::TracedReleaseLocked(ThreadRecord* self,
   if (emit_release) {
     nub.EmitTraced(spec::MakeRelease(self->id, id_));
   }
-  ThreadRecord* wake = nullptr;
-  if (nub.waitq_mode()) {
-    const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-    if (r.resumed) {
-      queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      // Immediate grants are impossible in traced mode (install happens
-      // under this ObjLock), so the tag is always a published record. The
-      // waiter unblocks itself in FinishWaitCell.
-      wake = static_cast<ThreadRecord*>(r.tag);
-      TAOS_CHECK(wake != nullptr);
-    }
-  } else {
-    wake = queue_.PopFront();
-    if (wake != nullptr) {
-      queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      MarkUnblocked(wake);
-    }
+  ThreadRecord* wake = queue_.PopFront();
+  if (wake != nullptr) {
+    queue_len_.fetch_sub(1, std::memory_order_relaxed);
+    MarkUnblocked(wake);
   }
   return wake;
 }

@@ -40,7 +40,6 @@
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/wait_result.h"
-#include "src/waitq/waitq.h"
 
 namespace taos {
 
@@ -100,17 +99,11 @@ class Mutex {
   // if still held; retry the whole Acquire from the test-and-set.
   void NubAcquire(ThreadRecord* self);
 
-  // NubAcquire on the waiter-queue substrate (TAOS_WAITQ): the enqueue is a
-  // lock-free cell claim instead of an ObjLock-guarded list insert; the
-  // claim-then-test ordering against Release's clear-then-scan is preserved.
-  void WaitqAcquire(ThreadRecord* self);
-
   // Deadline-carrying slow paths (AcquireFor). Each parked episode arms the
   // process timer wheel (src/threads/timer.h); the timer dequeues an expired
   // waiter exactly as Alert dequeues an alertable one. Return false on
   // timeout.
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool WaitqAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // Nub subroutine for Release: unblock one queued thread.
@@ -157,10 +150,11 @@ class Mutex {
 
   std::atomic<std::uint32_t> bit_{0};  // the Lock-bit: 1 iff inside a
                                        // critical section
-  ObjLock nub_lock_;                   // guards queue_ (the slow paths)
-  IntrusiveQueue<ThreadRecord> queue_;  // classic backend
-  waitq::WaitQueue wqueue_;             // waiter-queue backend (TAOS_WAITQ)
+  // On bit_'s cache line, so Release's queue test reads the line its
+  // clear just wrote (see ReaderWriterMutex's length mirrors).
   std::atomic<std::int32_t> queue_len_{0};
+  ObjLock nub_lock_;                   // guards queue_ (the slow paths)
+  IntrusiveQueue<ThreadRecord> queue_;
   std::atomic<spec::ThreadId> holder_{spec::kNil};
   spec::ObjId id_;
 

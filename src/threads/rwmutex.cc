@@ -17,8 +17,6 @@ ReaderWriterMutex::ReaderWriterMutex() : id_(Nub::Get().NextObjId()) {}
 ReaderWriterMutex::~ReaderWriterMutex() {
   TAOS_CHECK(readers_queue_.Empty());
   TAOS_CHECK(writers_queue_.Empty());
-  TAOS_CHECK(wreaders_.DrainedForDebug());
-  TAOS_CHECK(wwriters_.DrainedForDebug());
   TAOS_CHECK(word_.load(std::memory_order_relaxed) == 0);
 }
 
@@ -254,10 +252,6 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
-  if (nub.waitq_mode()) {
-    WaitqAcquire(self);
-    return;
-  }
   for (;;) {
     bool parked = false;
     {
@@ -293,50 +287,11 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
   }
 }
 
-void ReaderWriterMutex::WaitqAcquire(ThreadRecord* self) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wwriters_.Enqueue();
-    writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
-    if (word_.load(std::memory_order_seq_cst) != 0) {
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kRwExclusive,
-                                      this, id_, &nub_lock_, /*alertable=*/false);
-      }
-      if (parked) {
-        ParkBlocked(self);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
 void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
-  if (nub.waitq_mode()) {
-    WaitqAcquireShared(self);
-    return;
-  }
   for (;;) {
     bool parked = false;
     {
@@ -367,38 +322,6 @@ void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
   }
 }
 
-void ReaderWriterMutex::WaitqAcquireShared(ThreadRecord* self) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wreaders_.Enqueue();
-    reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
-    if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kRwShared,
-                                      this, id_, &nub_lock_, /*alertable=*/false);
-      }
-      if (parked) {
-        ParkBlocked(self);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    if (SharedCasLoop()) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
 // --- Nub (slow-path) subroutines, timed ---
 
 bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
@@ -407,9 +330,6 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
-  if (nub.waitq_mode()) {
-    return WaitqAcquireFor(self, deadline_ns);
-  }
   for (;;) {
     bool parked = false;
     std::uint64_t gen = 0;
@@ -453,62 +373,12 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
   }
 }
 
-bool ReaderWriterMutex::WaitqAcquireFor(ThreadRecord* self,
-                                        std::uint64_t deadline_ns) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wwriters_.Enqueue();
-    writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
-    if (word_.load(std::memory_order_seq_cst) != 0) {
-      std::uint64_t gen = 0;
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kRwExclusive,
-                                      this, id_, &nub_lock_, /*alertable=*/false);
-        if (parked) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
-      }
-      if (parked) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-        ParkBlocked(self);
-        Timer::Get().Cancel(self, gen);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-      return true;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-    if (expired || obs::NowNanos() >= deadline_ns) {
-      return false;
-    }
-  }
-}
-
 bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
                                             std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
-  if (nub.waitq_mode()) {
-    return WaitqAcquireSharedFor(self, deadline_ns);
-  }
   for (;;) {
     bool parked = false;
     std::uint64_t gen = 0;
@@ -547,50 +417,6 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
   }
 }
 
-bool ReaderWriterMutex::WaitqAcquireSharedFor(ThreadRecord* self,
-                                              std::uint64_t deadline_ns) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wreaders_.Enqueue();
-    reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
-    if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
-      std::uint64_t gen = 0;
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kRwShared,
-                                      this, id_, &nub_lock_, /*alertable=*/false);
-        if (parked) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
-      }
-      if (parked) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-        ParkBlocked(self);
-        Timer::Get().Cancel(self, gen);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    if (SharedCasLoop()) {
-      return true;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-    if (expired || obs::NowNanos() >= deadline_ns) {
-      return false;
-    }
-  }
-}
-
 // --- Nub (slow-path) subroutines, release side ---
 
 void ReaderWriterMutex::NubReleaseExclusive() {
@@ -600,45 +426,25 @@ void ReaderWriterMutex::NubReleaseExclusive() {
   // An exclusive release wakes EVERY queued reader plus one queued writer:
   // the readers can all be admitted together, and the writer contends with
   // them (barging decides the rest).
-  std::vector<waitq::Parker*> unparks;
+  std::vector<ThreadRecord*> wakes;
   {
     NubGuard g(nub_lock_);
-    if (nub.waitq_mode()) {
-      for (;;) {
-        const waitq::WaitQueue::Resumed r = wreaders_.ResumeOne();
-        if (!r.resumed) {
-          break;
-        }
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        if (r.parker != nullptr) {
-          unparks.push_back(r.parker);
-        }
-      }
-      const waitq::WaitQueue::Resumed r = wwriters_.ResumeOne();
-      if (r.resumed) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        if (r.parker != nullptr) {
-          unparks.push_back(r.parker);
-        }
-      }
-    } else {
-      for (ThreadRecord* wake = readers_queue_.PopFront(); wake != nullptr;
-           wake = readers_queue_.PopFront()) {
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        unparks.push_back(&wake->park);
-      }
-      ThreadRecord* wake = writers_queue_.PopFront();
-      if (wake != nullptr) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        unparks.push_back(&wake->park);
-      }
+    for (ThreadRecord* wake = readers_queue_.PopFront(); wake != nullptr;
+         wake = readers_queue_.PopFront()) {
+      reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
+      wakes.push_back(wake);
+    }
+    ThreadRecord* wake = writers_queue_.PopFront();
+    if (wake != nullptr) {
+      writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
+      wakes.push_back(wake);
     }
   }
-  for (waitq::Parker* p : unparks) {
+  for (ThreadRecord* wake : wakes) {
     obs::Inc(obs::Counter::kHandoffs);
-    p->Unpark();
+    wake->park.Unpark();
   }
 }
 
@@ -646,27 +452,18 @@ void ReaderWriterMutex::NubWakeOneWriter() {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubRelease);
-  waitq::Parker* unpark = nullptr;
+  ThreadRecord* wake = nullptr;
   {
     NubGuard g(nub_lock_);
-    if (nub.waitq_mode()) {
-      const waitq::WaitQueue::Resumed r = wwriters_.ResumeOne();
-      if (r.resumed) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        unpark = r.parker;
-      }
-    } else {
-      ThreadRecord* wake = writers_queue_.PopFront();
-      if (wake != nullptr) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        unpark = &wake->park;
-      }
+    wake = writers_queue_.PopFront();
+    if (wake != nullptr) {
+      writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
     }
   }
-  if (unpark != nullptr) {
+  if (wake != nullptr) {
     obs::Inc(obs::Counter::kHandoffs);
-    unpark->Unpark();
+    wake->park.Unpark();
   }
 }
 
@@ -676,8 +473,6 @@ void ReaderWriterMutex::TracedAcquire(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     {
       NubGuard g(nub_lock_);
       // WHEN rw.writer = NIL AND rw.readers = {}: the whole word is zero.
@@ -688,28 +483,12 @@ void ReaderWriterMutex::TracedAcquire(ThreadRecord* self) {
         nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
         return;
       }
-      if (nub.waitq_mode()) {
-        cell = wwriters_.Enqueue();
-        writer_q_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(
-            self, cell, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-            &nub_lock_, /*alertable=*/false));
-      } else {
-        writers_queue_.PushBack(self);
-        writer_q_len_.fetch_add(1, std::memory_order_relaxed);
-        MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-      }
-      parked = true;
+      writers_queue_.PushBack(self);
+      writer_q_len_.fetch_add(1, std::memory_order_relaxed);
+      MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
+                  &nub_lock_, /*alertable=*/false);
     }
-    if (parked) {
-      ParkBlocked(self);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-    }
+    ParkBlocked(self);
   }
 }
 
@@ -717,8 +496,6 @@ void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     {
       NubGuard g(nub_lock_);
       // WHEN rw.writer = NIL. (REQUIRES NOT (SELF IN rw.readers) is the
@@ -730,27 +507,12 @@ void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
         nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
         return;
       }
-      if (nub.waitq_mode()) {
-        cell = wreaders_.Enqueue();
-        reader_q_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        TAOS_CHECK(InstallBlockedLocked(
-            self, cell, ThreadRecord::BlockKind::kRwShared, this, id_, &nub_lock_,
-            /*alertable=*/false));
-      } else {
-        readers_queue_.PushBack(self);
-        reader_q_len_.fetch_add(1, std::memory_order_relaxed);
-        MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-      }
-      parked = true;
+      readers_queue_.PushBack(self);
+      reader_q_len_.fetch_add(1, std::memory_order_relaxed);
+      MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
+                  &nub_lock_, /*alertable=*/false);
     }
-    if (parked) {
-      ParkBlocked(self);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-    }
+    ParkBlocked(self);
   }
 }
 
@@ -759,8 +521,6 @@ bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
@@ -779,33 +539,17 @@ bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
         return false;
       }
       gen = ++self->next_timer_gen;
-      if (nub.waitq_mode()) {
-        cell = wwriters_.Enqueue();
-        writer_q_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        TAOS_CHECK(InstallBlockedLocked(
-            self, cell, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-            &nub_lock_, /*alertable=*/false));
-        PublishTimedLocked(self, gen);
-      } else {
-        writers_queue_.PushBack(self);
-        writer_q_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-      }
-      parked = true;
+      writers_queue_.PushBack(self);
+      writer_q_len_.fetch_add(1, std::memory_order_relaxed);
+      SpinGuard tg(self->lock);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
+                       &nub_lock_, /*alertable=*/false);
+      PublishTimedLocked(self, gen);
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-      ConsumeTimeoutWoken(self);  // loop-top deadline check decides
-    }
+    Timer::Get().Arm(self, gen, deadline_ns);
+    ParkBlocked(self);
+    Timer::Get().Cancel(self, gen);
+    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
   }
 }
 
@@ -814,8 +558,6 @@ bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
@@ -832,33 +574,17 @@ bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
         return false;
       }
       gen = ++self->next_timer_gen;
-      if (nub.waitq_mode()) {
-        cell = wreaders_.Enqueue();
-        reader_q_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        TAOS_CHECK(InstallBlockedLocked(
-            self, cell, ThreadRecord::BlockKind::kRwShared, this, id_, &nub_lock_,
-            /*alertable=*/false));
-        PublishTimedLocked(self, gen);
-      } else {
-        readers_queue_.PushBack(self);
-        reader_q_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-      }
-      parked = true;
+      readers_queue_.PushBack(self);
+      reader_q_len_.fetch_add(1, std::memory_order_relaxed);
+      SpinGuard tg(self->lock);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
+                       &nub_lock_, /*alertable=*/false);
+      PublishTimedLocked(self, gen);
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-      ConsumeTimeoutWoken(self);
-    }
+    Timer::Get().Arm(self, gen, deadline_ns);
+    ParkBlocked(self);
+    Timer::Get().Cancel(self, gen);
+    ConsumeTimeoutWoken(self);
   }
 }
 
@@ -871,39 +597,17 @@ void ReaderWriterMutex::TracedRelease(ThreadRecord* self) {
     NoteReleased();
     word_.store(0, std::memory_order_relaxed);
     nub.EmitTraced(spec::MakeRwRelease(self->id, id_));
-    if (nub.waitq_mode()) {
-      for (;;) {
-        const waitq::WaitQueue::Resumed r = wreaders_.ResumeOne();
-        if (!r.resumed) {
-          break;
-        }
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        // Immediate grants are impossible in traced mode (install happens
-        // under this ObjLock), so the tag is always a published record.
-        ThreadRecord* wake = static_cast<ThreadRecord*>(r.tag);
-        TAOS_CHECK(wake != nullptr);
-        wakes.push_back(wake);
-      }
-      const waitq::WaitQueue::Resumed r = wwriters_.ResumeOne();
-      if (r.resumed) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        ThreadRecord* wake = static_cast<ThreadRecord*>(r.tag);
-        TAOS_CHECK(wake != nullptr);
-        wakes.push_back(wake);
-      }
-    } else {
-      for (ThreadRecord* wake = readers_queue_.PopFront(); wake != nullptr;
-           wake = readers_queue_.PopFront()) {
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        wakes.push_back(wake);
-      }
-      ThreadRecord* wake = writers_queue_.PopFront();
-      if (wake != nullptr) {
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        wakes.push_back(wake);
-      }
+    for (ThreadRecord* wake = readers_queue_.PopFront(); wake != nullptr;
+         wake = readers_queue_.PopFront()) {
+      reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
+      wakes.push_back(wake);
+    }
+    ThreadRecord* wake = writers_queue_.PopFront();
+    if (wake != nullptr) {
+      writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
+      wakes.push_back(wake);
     }
   }
   for (ThreadRecord* wake : wakes) {
@@ -924,19 +628,10 @@ void ReaderWriterMutex::TracedReleaseShared(ThreadRecord* self) {
     word_.store(w - 1, std::memory_order_relaxed);
     nub.EmitTraced(spec::MakeRwReleaseShared(self->id, id_));
     if (w == 1) {
-      if (nub.waitq_mode()) {
-        const waitq::WaitQueue::Resumed r = wwriters_.ResumeOne();
-        if (r.resumed) {
-          writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-          wake = static_cast<ThreadRecord*>(r.tag);
-          TAOS_CHECK(wake != nullptr);
-        }
-      } else {
-        wake = writers_queue_.PopFront();
-        if (wake != nullptr) {
-          writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-          MarkUnblocked(wake);
-        }
+      wake = writers_queue_.PopFront();
+      if (wake != nullptr) {
+        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
+        MarkUnblocked(wake);
       }
     }
   }

@@ -25,10 +25,9 @@
 // is one word — a writer bit plus a 31-bit reader count. The reader fast
 // path is a CAS increment while the writer bit is clear; the writer fast
 // path is a CAS of 0 -> writer-bit. The Nub slow paths keep two queues
-// (readers, writers) under the object's ObjLock — classic intrusive lists
-// or the TAOS_WAITQ cell substrate, exactly as Mutex — with atomic length
-// mirrors so the release-side "anyone queued?" test is a data-race-free
-// load. The design barges like Mutex: a release makes waiters ready, but
+// (readers, writers) under the object's ObjLock — intrusive lists, exactly
+// as Mutex — with atomic length mirrors so the release-side "anyone
+// queued?" test is a data-race-free load. The design barges like Mutex: a release makes waiters ready, but
 // any thread may win the retried CAS first, so the spec deliberately says
 // nothing about fairness (the writer-starvation litmus in src/model
 // measures the consequence).
@@ -54,7 +53,6 @@
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/wait_result.h"
-#include "src/waitq/waitq.h"
 
 namespace taos {
 
@@ -111,16 +109,11 @@ class ReaderWriterMutex {
 
   // Nub subroutines: enqueue on the respective queue, re-test the word,
   // de-schedule if still excluded; retry the whole acquisition from the
-  // CAS. Classic and waitq variants, untimed and timed — the same eight
-  // shapes as Mutex, over two queues.
+  // CAS. Untimed and timed — the same shapes as Mutex, over two queues.
   void NubAcquire(ThreadRecord* self);
-  void WaitqAcquire(ThreadRecord* self);
   void NubAcquireShared(ThreadRecord* self);
-  void WaitqAcquireShared(ThreadRecord* self);
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool WaitqAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool NubAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool WaitqAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // Release-side Nub subroutines. An exclusive release drains the reader
   // queue and unblocks one writer; the last shared release unblocks one
@@ -160,13 +153,14 @@ class ReaderWriterMutex {
 
   // Writer bit | 31-bit reader count.
   std::atomic<std::uint32_t> word_{0};
-  ObjLock nub_lock_;  // guards both queues (the slow paths)
-  IntrusiveQueue<ThreadRecord> readers_queue_;  // classic backend
-  IntrusiveQueue<ThreadRecord> writers_queue_;
-  waitq::WaitQueue wreaders_;  // waiter-queue backend (TAOS_WAITQ)
-  waitq::WaitQueue wwriters_;
+  // The length mirrors sit on word_'s cache line: a release's "anyone
+  // queued?" load then reads the line its own RMW just took, not one the
+  // fast_acquires_ counter keeps bouncing between cores.
   std::atomic<std::int32_t> reader_q_len_{0};
   std::atomic<std::int32_t> writer_q_len_{0};
+  ObjLock nub_lock_;  // guards both queues (the slow paths)
+  IntrusiveQueue<ThreadRecord> readers_queue_;
+  IntrusiveQueue<ThreadRecord> writers_queue_;
   std::atomic<spec::ThreadId> holder_{spec::kNil};
   spec::ObjId id_;
 

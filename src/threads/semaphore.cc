@@ -14,7 +14,6 @@ Semaphore::Semaphore() : id_(Nub::Get().NextObjId()) {}
 
 Semaphore::~Semaphore() {
   TAOS_CHECK(queue_.Empty());
-  TAOS_CHECK(wqueue_.DrainedForDebug());
 }
 
 void Semaphore::P() {
@@ -88,10 +87,6 @@ void Semaphore::NubP(ThreadRecord* self) {
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubP);
-  if (nub.waitq_mode()) {
-    WaitqP(self);
-    return;
-  }
   for (;;) {
     bool parked = false;
     {
@@ -123,50 +118,11 @@ void Semaphore::NubP(ThreadRecord* self) {
   }
 }
 
-// Identical in structure to Mutex::WaitqAcquire; see the commentary there.
-void Semaphore::WaitqP(ThreadRecord* self) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    queue_len_.fetch_add(1, std::memory_order_seq_cst);
-    TAOS_CHAOS(kSemEnqueuedToTest);
-    if (bit_.load(std::memory_order_seq_cst) != 0) {
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kSemaphore,
-                                      this, id_, &nub_lock_, /*alertable=*/false);
-      }
-      if (parked) {
-        ParkBlocked(self);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      TAOS_CHAOS(kSemBackout);
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    TAOS_CHAOS(kSemWakeToRetry);
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
 bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubP);
-  if (nub.waitq_mode()) {
-    return WaitqPFor(self, deadline_ns);
-  }
   for (;;) {
     bool parked = false;
     std::uint64_t gen = 0;
@@ -210,54 +166,6 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-// Identical in structure to Mutex::WaitqAcquireFor; see the commentary
-// there.
-bool Semaphore::WaitqPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  for (;;) {
-    bool parked = false;
-    waitq::WaitCell* cell = wqueue_.Enqueue();
-    queue_len_.fetch_add(1, std::memory_order_seq_cst);
-    TAOS_CHAOS(kSemEnqueuedToTest);
-    if (bit_.load(std::memory_order_seq_cst) != 0) {
-      std::uint64_t gen = 0;
-      {
-        SpinGuard tg(self->lock);
-        parked = InstallBlockedLocked(self, cell,
-                                      ThreadRecord::BlockKind::kSemaphore,
-                                      this, id_, &nub_lock_, /*alertable=*/false);
-        if (parked) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
-      }
-      if (parked) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-        ParkBlocked(self);
-        Timer::Get().Cancel(self, gen);
-        TAOS_CHAOS(kSemTimedFinish);
-      }
-      FinishWaitCell(self, cell);
-    } else {
-      TAOS_CHAOS(kSemBackout);
-      if (cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      waitq::WaitQueue::Detach(cell);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return true;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-    if (expired || obs::NowNanos() >= deadline_ns) {
-      return false;
-    }
-  }
-}
-
 void Semaphore::V() {
   obs::WithEvent(obs::Op::kV, id_, [&] {
     Nub& nub = Nub::Get();
@@ -280,27 +188,18 @@ void Semaphore::NubV() {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubV);
-  waitq::Parker* unpark = nullptr;
+  ThreadRecord* wake = nullptr;
   {
     NubGuard g(nub_lock_);
-    if (nub.waitq_mode()) {
-      const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-      if (r.resumed) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-        unpark = r.parker;  // null on an immediate grant
-      }
-    } else {
-      ThreadRecord* wake = queue_.PopFront();
-      if (wake != nullptr) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-        unpark = &wake->park;
-      }
+    wake = queue_.PopFront();
+    if (wake != nullptr) {
+      queue_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
     }
   }
-  if (unpark != nullptr) {
+  if (wake != nullptr) {
     obs::Inc(obs::Counter::kHandoffs);
-    unpark->Unpark();
+    wake->park.Unpark();
   }
 }
 
@@ -308,8 +207,6 @@ void Semaphore::TracedP(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     {
       NubGuard g(nub_lock_);
       if (bit_.load(std::memory_order_relaxed) == 0) {
@@ -317,29 +214,12 @@ void Semaphore::TracedP(ThreadRecord* self) {
         nub.EmitTraced(spec::MakeP(self->id, id_));
         return;
       }
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kSemaphore,
-                                        this, id_, &nub_lock_,
-                                        /*alertable=*/false));
-      } else {
-        queue_.PushBack(self);
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        MarkBlocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                    &nub_lock_, /*alertable=*/false);
-      }
-      parked = true;
+      queue_.PushBack(self);
+      queue_len_.fetch_add(1, std::memory_order_relaxed);
+      MarkBlocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
+                  &nub_lock_, /*alertable=*/false);
     }
-    if (parked) {
-      ParkBlocked(self);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-    }
+    ParkBlocked(self);
   }
 }
 
@@ -347,8 +227,6 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    waitq::WaitCell* cell = nullptr;
-    bool parked = false;
     std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
@@ -368,35 +246,17 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         return false;
       }
       gen = ++self->next_timer_gen;
-      if (nub.waitq_mode()) {
-        cell = wqueue_.Enqueue();
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        // Cannot fail: resumers hold this ObjLock, which we hold.
-        TAOS_CHECK(InstallBlockedLocked(self, cell,
-                                        ThreadRecord::BlockKind::kSemaphore,
-                                        this, id_, &nub_lock_,
-                                        /*alertable=*/false));
-        PublishTimedLocked(self, gen);
-      } else {
-        queue_.PushBack(self);
-        queue_len_.fetch_add(1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-      }
-      parked = true;
+      queue_.PushBack(self);
+      queue_len_.fetch_add(1, std::memory_order_relaxed);
+      SpinGuard tg(self->lock);
+      SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
+                       &nub_lock_, /*alertable=*/false);
+      PublishTimedLocked(self, gen);
     }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-      if (cell != nullptr) {
-        FinishWaitCell(self, cell);
-      }
-      ConsumeTimeoutWoken(self);  // loop-top deadline check decides
-    }
+    Timer::Get().Arm(self, gen, deadline_ns);
+    ParkBlocked(self);
+    Timer::Get().Cancel(self, gen);
+    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
   }
 }
 
@@ -407,19 +267,10 @@ void Semaphore::TracedV(ThreadRecord* self) {
     NubGuard g(nub_lock_);
     bit_.store(0, std::memory_order_relaxed);
     nub.EmitTraced(spec::MakeV(self->id, id_));
-    if (nub.waitq_mode()) {
-      const waitq::WaitQueue::Resumed r = wqueue_.ResumeOne();
-      if (r.resumed) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-        wake = static_cast<ThreadRecord*>(r.tag);
-        TAOS_CHECK(wake != nullptr);  // no immediate grants in traced mode
-      }
-    } else {
-      wake = queue_.PopFront();
-      if (wake != nullptr) {
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-        MarkUnblocked(wake);
-      }
+    wake = queue_.PopFront();
+    if (wake != nullptr) {
+      queue_len_.fetch_sub(1, std::memory_order_relaxed);
+      MarkUnblocked(wake);
     }
   }
   if (wake != nullptr) {

@@ -27,7 +27,6 @@
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/wait_result.h"
-#include "src/waitq/waitq.h"
 
 namespace taos {
 
@@ -81,7 +80,6 @@ class Semaphore {
   friend void AlertP(Semaphore& s);
 
   void NubP(ThreadRecord* self);
-  void WaitqP(ThreadRecord* self);  // NubP on the TAOS_WAITQ substrate
   void NubV();
   void TracedP(ThreadRecord* self);
   void TracedV(ThreadRecord* self);
@@ -89,14 +87,12 @@ class Semaphore {
   // Deadline-carrying slow paths (PFor); see Mutex::NubAcquireFor, whose
   // structure these mirror. Return false on timeout.
   bool NubPFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool WaitqPFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   std::atomic<std::uint32_t> bit_{0};   // 1 iff unavailable
+  std::atomic<std::int32_t> queue_len_{0};  // on bit_'s line, as in Mutex
   ObjLock nub_lock_;                    // guards queue_ (the slow paths)
-  IntrusiveQueue<ThreadRecord> queue_;  // classic backend
-  waitq::WaitQueue wqueue_;             // waiter-queue backend (TAOS_WAITQ)
-  std::atomic<std::int32_t> queue_len_{0};
+  IntrusiveQueue<ThreadRecord> queue_;
   spec::ObjId id_;
 
   std::atomic<std::uint64_t> fast_ps_{0};

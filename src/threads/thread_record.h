@@ -9,8 +9,7 @@
 // All fields below the "guarded by `lock`" line are only touched while
 // holding this record's parking-lot lock (which the blocking, waking and
 // alerting paths all nest inside the blocked-on object's ObjLock, per the
-// ordering discipline in nub.h — except the waiter-queue mode's Alert,
-// which needs no object lock at all; see wait_cell below).
+// ordering discipline in nub.h).
 
 #ifndef TAOS_SRC_THREADS_THREAD_RECORD_H_
 #define TAOS_SRC_THREADS_THREAD_RECORD_H_
@@ -25,7 +24,6 @@
 #include "src/obs/metrics.h"
 #include "src/spec/state.h"
 #include "src/waitq/parker.h"
-#include "src/waitq/waitq.h"
 
 namespace taos {
 
@@ -87,11 +85,6 @@ struct ThreadRecord {
   bool alert_woken = false;  // dequeued by Alert rather than by V/Signal
   void* blocked_obj = nullptr;  // the Mutex/Semaphore/Condition blocked on
   ObjLock* blocked_lock = nullptr;  // that object's slow-path lock
-  // Waiter-queue mode only: the cell this thread is (about to be) parked
-  // in. Published under `lock` so Alert can cancel it with one CAS instead
-  // of taking the object lock; unpublished (again under `lock`) before the
-  // waiter detaches the cell, so a canceller never touches a detached cell.
-  waitq::WaitCell* wait_cell = nullptr;
   // Timed-wait state. `timed` marks the current blocked episode as having a
   // deadline and `timer_gen` names which wait instance armed it, so a stale
   // expiry (the waiter already woke, maybe even re-blocked) validates as a
@@ -186,7 +179,6 @@ inline void ClearBlockedLocked(ThreadRecord* t) {
   t->blocked_obj = nullptr;
   t->blocked_lock = nullptr;
   t->alertable = false;
-  t->wait_cell = nullptr;
   // A dequeuer (granter, alerter or the timer) that unblocks this record
   // also invalidates its deadline; `timeout_woken` is NOT cleared here —
   // the timer sets it right after this call and the waiter consumes it.
@@ -238,43 +230,6 @@ inline void ParkBlocked(ThreadRecord* t) {
   const std::uint64_t start = obs::NowNanos();
   t->park.Park();
   obs::Record(obs::Histogram::kBlockedNanos, obs::NowNanos() - start);
-}
-
-// --- waiter-queue (TAOS_WAITQ) blocking protocol helpers ---
-
-// Publishes the blocked state plus the claimed cell and installs the
-// parker, all under t->lock (already held by the caller). Returns true if
-// the thread must park; false if a resume or cancel beat the Install (the
-// cell is unpublished again and the thread proceeds without parking).
-inline bool InstallBlockedLocked(ThreadRecord* t, waitq::WaitCell* cell,
-                                 ThreadRecord::BlockKind kind, void* obj,
-                                 spec::ObjId obj_id, ObjLock* obj_lock,
-                                 bool alertable) {
-  SetBlockedLocked(t, kind, obj, obj_id, obj_lock, alertable);
-  t->wait_cell = cell;
-  if (cell->Install(&t->park, t)) {
-    return true;
-  }
-  ClearBlockedLocked(t);
-  return false;
-}
-
-// The waiter's epilogue for a claimed cell: reads the terminal state,
-// unpublishes whatever is still published (a resumer never touches the
-// record; an alerter already cleared it), and detaches the cell — the
-// claimant's last touch. Returns the terminal state (kResumed or
-// kCancelled).
-inline waitq::WaitCell::State FinishWaitCell(ThreadRecord* t,
-                                             waitq::WaitCell* cell) {
-  const waitq::WaitCell::State st = cell->state();
-  {
-    SpinGuard g(t->lock);
-    if (t->wait_cell == cell) {
-      ClearBlockedLocked(t);
-    }
-  }
-  waitq::WaitQueue::Detach(cell);
-  return st;
 }
 
 // Opaque handle clients use to name a thread (e.g. Alert(t)).

@@ -15,7 +15,6 @@
 #include "src/threads/nub.h"
 #include "src/threads/rwmutex.h"
 #include "src/threads/semaphore.h"
-#include "src/waitq/waitq.h"
 
 namespace taos {
 
@@ -289,12 +288,12 @@ void Timer::ExpireEntry(const Expiry& e) {
   Nub& nub = Nub::Get();
   ThreadRecord* t = e.rec;
 
-  // Multi-object waits first: a Poll waiter publishes no object lock and no
-  // cell — its blocked state is covered by the record lock alone (the
-  // notify-latch protocol, src/threads/poll.cc), so expiry is the same
-  // record-lock-only dance in every backend and in traced mode. The
-  // gen/timed validation is the usual staleness filter; matching gen means
-  // the episode is still parked, so block_kind cannot change under us.
+  // Multi-object waits first: a Poll waiter publishes no object lock — its
+  // blocked state is covered by the record lock alone (the notify-latch
+  // protocol, src/threads/poll.cc), so expiry is a record-lock-only dance,
+  // traced or not. The gen/timed validation is the usual staleness filter;
+  // matching gen means the episode is still parked, so block_kind cannot
+  // change under us.
   {
     waitq::Parker* unpark = nullptr;
     t->lock.Acquire();
@@ -317,69 +316,10 @@ void Timer::ExpireEntry(const Expiry& e) {
     t->lock.Release();
   }
 
-  if (!nub.tracing() && nub.waitq_mode()) {
-    // Production waiter-queue mode: like Alert, expiry needs no object lock.
-    // The cancel CAS on the published cell is the whole arbitration with a
-    // racing grant — losing it means a Release/V/Signal resume is in
-    // flight, and the grant stands (the waiter reports kSatisfied). The
-    // blocked_obj dereference is safe for the rule-3 reason: while t's
-    // record lock is held and t is observed blocked, t has not returned
-    // from its blocking call, so the object is alive.
-    waitq::Parker* unpark = nullptr;
-    t->lock.Acquire();
-    // The timeout-vs-grant window: the cancel CAS below races a
-    // Release/V/Signal resume on the same cell.
-    TAOS_CHAOS(kTimerExpiryToCancel);
-    if (t->timed && t->timer_gen == e.gen &&
-        t->block_kind != ThreadRecord::BlockKind::kNone &&
-        t->wait_cell != nullptr &&
-        t->wait_cell->Cancel() == waitq::WaitCell::CancelOutcome::kCancelled) {
-      switch (t->block_kind) {
-        case ThreadRecord::BlockKind::kMutex:
-          static_cast<Mutex*>(t->blocked_obj)
-              ->queue_len_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kSemaphore:
-          static_cast<Semaphore*>(t->blocked_obj)
-              ->queue_len_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kCondition:
-          static_cast<Condition*>(t->blocked_obj)
-              ->waiters_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kRwShared:
-          static_cast<ReaderWriterMutex*>(t->blocked_obj)
-              ->reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kRwExclusive:
-          static_cast<ReaderWriterMutex*>(t->blocked_obj)
-              ->writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kEvent:
-          static_cast<Event*>(t->blocked_obj)
-              ->queue_len_.fetch_sub(1, std::memory_order_relaxed);
-          break;
-        case ThreadRecord::BlockKind::kPollAny:
-        case ThreadRecord::BlockKind::kPollAll:
-        case ThreadRecord::BlockKind::kNone:
-          TAOS_PANIC("unreachable: validated above");
-      }
-      ClearBlockedLocked(t);
-      t->timeout_woken = true;
-      unpark = &t->park;
-    }
-    t->lock.Release();
-    if (unpark != nullptr) {
-      obs::Inc(obs::Counter::kHandoffs);
-      unpark->Unpark();
-    }
-    return;
-  }
-
-  // Classic backend (and every traced run): rule 3 of the ordering
-  // discipline, exactly as in Alert — record lock first, TRY-acquire the
-  // object lock, back off and retry on failure (its holder may be waking t
-  // and will need t's record lock).
+  // Every other wait: rule 3 of the ordering discipline, exactly as in
+  // Alert — record lock first, TRY-acquire the object lock, back off and
+  // retry on failure (its holder may be waking t and will need t's record
+  // lock).
   for (;;) {
     t->lock.Acquire();
     TAOS_CHAOS(kTimerExpiryToCancel);
@@ -401,40 +341,22 @@ void Timer::ExpireEntry(const Expiry& e) {
       Rule3Backoff();
       continue;
     }
-    if (nub.waitq_mode()) {
-      // Traced run on the waiter-queue backend: the dequeue is the cancel
-      // CAS. Losing it means a resume — emitted earlier under this same
-      // object lock — is in flight: the grant stands, nothing to do.
-      TAOS_CHECK(t->wait_cell != nullptr);
-      if (t->wait_cell->Cancel() !=
-          waitq::WaitCell::CancelOutcome::kCancelled) {
-        obj_lock->Release();
-        t->lock.Release();
-        return;
-      }
-    }
     switch (t->block_kind) {
       case ThreadRecord::BlockKind::kMutex: {
         auto* m = static_cast<Mutex*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          m->queue_.Remove(t);
-        }
+        m->queue_.Remove(t);
         m->queue_len_.fetch_sub(1, std::memory_order_relaxed);
         break;
       }
       case ThreadRecord::BlockKind::kSemaphore: {
         auto* s = static_cast<Semaphore*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          s->queue_.Remove(t);
-        }
+        s->queue_.Remove(t);
         s->queue_len_.fetch_sub(1, std::memory_order_relaxed);
         break;
       }
       case ThreadRecord::BlockKind::kCondition: {
         auto* c = static_cast<Condition*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          c->queue_.Remove(t);
-        }
+        c->queue_.Remove(t);
         if (nub.tracing()) {
           // The timed-out thread stays a spec-member of c until its
           // TimeoutResume action fires (mirroring pending_raise_), so a
@@ -447,25 +369,19 @@ void Timer::ExpireEntry(const Expiry& e) {
       }
       case ThreadRecord::BlockKind::kRwShared: {
         auto* rw = static_cast<ReaderWriterMutex*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          rw->readers_queue_.Remove(t);
-        }
+        rw->readers_queue_.Remove(t);
         rw->reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
         break;
       }
       case ThreadRecord::BlockKind::kRwExclusive: {
         auto* rw = static_cast<ReaderWriterMutex*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          rw->writers_queue_.Remove(t);
-        }
+        rw->writers_queue_.Remove(t);
         rw->writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
         break;
       }
       case ThreadRecord::BlockKind::kEvent: {
         auto* ev = static_cast<Event*>(t->blocked_obj);
-        if (!nub.waitq_mode()) {
-          ev->queue_.Remove(t);
-        }
+        ev->queue_.Remove(t);
         ev->queue_len_.fetch_sub(1, std::memory_order_relaxed);
         break;
       }

@@ -6,9 +6,8 @@
 // call). This subsystem makes deadlines first-class instead: a timed waiter
 // parks exactly like an un-timed one, and the timer thread cancels it on
 // expiry the same way Alert(t) cancels an alertable waiter — under the
-// record lock, through the published blocking state (the classic backend's
-// intrusive-queue removal, or the waitq backend's one-CAS cell cancel). The
-// expiry-vs-grant race is therefore arbitrated by machinery that already
+// record lock, through the published blocking state (an intrusive-queue
+// removal under the rule-3 try-lock). The expiry-vs-grant race is therefore arbitrated by machinery that already
 // exists and is already model-checked: whoever dequeues the waiter first
 // wins, and a timed wait that loses the expiry-vs-grant race keeps the
 // grant.

@@ -1,22 +1,17 @@
-// FIFO-fairness regression tests (waitq backend).
+// FIFO-fairness regression tests for the Nub's wait queues.
 //
-// The waitq substrate resumes waiters in cell-claim order, so with no awake
-// competitors a chain of handoffs must grant in arrival order. The classic
-// intrusive queues are also FIFO *per queue*, but the classic backend makes
-// no fairness promise once bargers are awake (Report 20's mutex "does not
-// guarantee fairness"); these tests therefore assert strict order only in
-// waitq mode and merely record the order (tolerating any permutation) on
-// the classic backend, documenting the difference rather than freezing the
-// classic behavior.
+// The intrusive queues resume waiters in enqueue order, so with no awake
+// competitors a chain of handoffs must grant in arrival order. (Once
+// bargers are awake there is no fairness promise — Report 20's mutex "does
+// not guarantee fairness" — so these scenarios keep every competitor
+// asleep.)
 //
 // Each scenario serializes arrivals: waiter i is forked only after waiter
 // i-1 has parked (its ThreadRecord::parks count went to 1), so the claim
 // order — and thus the expected grant order — is exactly 0, 1, 2, ...
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,20 +23,6 @@
 namespace taos {
 namespace {
 
-class WaitqFairnessTest : public ::testing::TestWithParam<bool> {
- protected:
-  void SetUp() override {
-    saved_ = Nub::Get().waitq_mode();
-    Nub::Get().SetWaitqMode(GetParam());
-  }
-  void TearDown() override { Nub::Get().SetWaitqMode(saved_); }
-
-  static bool WaitqMode() { return GetParam(); }
-
- private:
-  bool saved_ = false;
-};
-
 void AwaitParked(const Thread& t) {
   while (t.Handle().rec->parks.load(std::memory_order_acquire) == 0) {
     std::this_thread::yield();
@@ -50,8 +31,8 @@ void AwaitParked(const Thread& t) {
 
 // N waiters blocked on one mutex in a known arrival order; the holder
 // releases and each waiter releases in turn. With every competitor asleep,
-// the grant chain must follow arrival order under waitq.
-TEST_P(WaitqFairnessTest, MutexHandoffsFollowArrivalOrder) {
+// the grant chain must follow arrival order.
+TEST(FairnessTest, MutexHandoffsFollowArrivalOrder) {
   constexpr int kWaiters = 8;
   Mutex m;
   std::vector<int> grant_order;  // guarded by m
@@ -75,25 +56,16 @@ TEST_P(WaitqFairnessTest, MutexHandoffsFollowArrivalOrder) {
   }
 
   ASSERT_EQ(grant_order.size(), static_cast<std::size_t>(kWaiters));
-  if (WaitqMode()) {
-    for (int i = 0; i < kWaiters; ++i) {
-      EXPECT_EQ(grant_order[i], i) << "waitq granted out of arrival order";
-    }
-  } else if (!std::is_sorted(grant_order.begin(), grant_order.end())) {
-    // Classic backend: legal (barging is permitted), just worth seeing.
-    std::string order;
-    for (int g : grant_order) {
-      order += std::to_string(g) + " ";
-    }
-    GTEST_LOG_(INFO) << "classic backend barged: grant order " << order;
+  for (int i = 0; i < kWaiters; ++i) {
+    EXPECT_EQ(grant_order[i], i) << "granted out of arrival order";
   }
 }
 
-// N waiters in AlertWait on one condition; the middle one is alerted (O(1)
-// cell cancellation under waitq), then signals are delivered one at a time.
-// The alerted waiter must raise without consuming a signal, and the signals
-// must reach the remaining waiters in arrival order under waitq.
-TEST_P(WaitqFairnessTest, SignalsSkipAlertedWaiterInArrivalOrder) {
+// N waiters in AlertWait on one condition; the middle one is alerted (Alert
+// unlinks it from the condition's queue), then signals are delivered one at
+// a time. The alerted waiter must raise without consuming a signal, and the
+// signals must reach the remaining waiters in arrival order.
+TEST(FairnessTest, SignalsSkipAlertedWaiterInArrivalOrder) {
   constexpr int kWaiters = 5;
   constexpr int kAlerted = 2;
   Mutex m;
@@ -144,22 +116,14 @@ TEST_P(WaitqFairnessTest, SignalsSkipAlertedWaiterInArrivalOrder) {
   for (int i = 0; i < kWaiters; ++i) {
     EXPECT_EQ(raised[i].load(std::memory_order_acquire), i == kAlerted);
   }
-  if (WaitqMode()) {
-    std::vector<int> expected;
-    for (int i = 0; i < kWaiters; ++i) {
-      if (i != kAlerted) {
-        expected.push_back(i);
-      }
+  std::vector<int> expected;
+  for (int i = 0; i < kWaiters; ++i) {
+    if (i != kAlerted) {
+      expected.push_back(i);
     }
-    EXPECT_EQ(grant_order, expected)
-        << "waitq signals strayed from arrival order";
   }
+  EXPECT_EQ(grant_order, expected) << "signals strayed from arrival order";
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, WaitqFairnessTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& mode) {
-                           return mode.param ? "Waitq" : "Classic";
-                         });
 
 }  // namespace
 }  // namespace taos

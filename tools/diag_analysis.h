@@ -74,7 +74,7 @@ struct BroadcastStats {
 struct TraceAnalysis {
   std::uint64_t total_events = 0;  // "X" events
   std::uint64_t dropped_events = 0;
-  // otherData string pairs (lock_backend, waitq, ... — SetTraceMetadata).
+  // otherData string pairs (lock_backend, parker, ... — SetTraceMetadata).
   std::vector<std::pair<std::string, std::string>> metadata;
   std::vector<ObjStats> objects;  // sorted by wait_ns descending, obj asc
   std::vector<FlowEdge> edges;    // matched pairs, sorted by grant_ns

@@ -124,6 +124,9 @@ int Run(int argc, char** argv, const char* bench_name) {
       << LockBackendName(SpinLock::backend()) << "\",\n"
       << "  \"global_lock_mode\": "
       << (Nub::Get().global_lock_mode() ? "true" : "false") << ",\n"
+      << "  \"build_type\": \"" << TAOS_BENCH_BUILD_TYPE << "\",\n"
+      << "  \"compiler\": \"" << TAOS_BENCH_COMPILER << "\",\n"
+      << "  \"git_rev\": \"" << TAOS_BENCH_GIT_REV << "\",\n"
       << "  \"metrics\": " << obs::ReportJson() << ",\n"
       << "  \"benchmark\": " << gbench_json << "\n"
       << "}\n";

@@ -15,7 +15,10 @@
 //
 // The report's shape:
 //   { "bench": name, "quick": bool, "wall_seconds": s,
+//     "num_cpus": n, "lock_backend": "tas"|"mcs"|"clh",
 //     "global_lock_mode": bool,          // TAOS_NUB_GLOBAL_LOCK
+//     "build_type": CMAKE_BUILD_TYPE, "compiler": "<id> <version>",
+//     "git_rev": commit at configure time, or "none",
 //     "metrics": <obs::ReportJson()>,    // counters + histograms
 //     "benchmark": <google-benchmark's own JSON output> }
 

@@ -60,7 +60,6 @@ CoroHandle Scheduler::Fork(std::function<void()> body, std::string name) {
   c->id = next_id_++;
   c->name = name.empty() ? ("coro" + std::to_string(c->id)) : std::move(name);
   c->body = std::move(body);
-  c->stack = std::make_unique<char[]>(stack_bytes_);
   c->state = Coro::State::kReady;
   run_queue_.PushBack(c);
   coros_.push_back(std::move(coro));
@@ -79,17 +78,16 @@ Scheduler* Scheduler::CurrentScheduler() {
   return tls_scheduler;
 }
 
-void Scheduler::Trampoline() {
-  Scheduler* sched = tls_scheduler;
-  Coro* self = tls_current;
+void Scheduler::Trampoline(void* coro) {
+  Coro* self = static_cast<Coro*>(coro);
   try {
     self->body();
   } catch (const CoroKilled&) {
   } catch (const Alerted&) {
     self->ended_by_alert = true;
   }
-  sched->FinishCurrent();
-  // Returning ends the context; uc_link resumes the scheduler.
+  self->scheduler->FinishCurrent();
+  // Returning ends the context and resumes the scheduler.
 }
 
 void Scheduler::FinishCurrent() {
@@ -116,7 +114,7 @@ void Scheduler::MakeReady(Coro* c) {
 
 void Scheduler::SwitchToScheduler() {
   Coro* self = tls_current;
-  swapcontext(&self->ctx, &main_ctx_);
+  self->ctx.SwitchTo(main_ctx_);
   // Resumed (possibly much later, possibly to be killed).
   if (self->killed) {
     self->killed = false;  // deliver exactly once; unwind code may block
@@ -163,13 +161,10 @@ void Scheduler::StartOrResume(Coro* c) {
   ++switches_;
   if (!c->started) {
     c->started = true;
-    getcontext(&c->ctx);
-    c->ctx.uc_stack.ss_sp = c->stack.get();
-    c->ctx.uc_stack.ss_size = stack_bytes_;
-    c->ctx.uc_link = &main_ctx_;
-    makecontext(&c->ctx, &Scheduler::Trampoline, 0);
+    c->stack = FiberStack(stack_bytes_);
+    c->ctx.Make(c->stack, &Scheduler::Trampoline, c, &main_ctx_);
   }
-  swapcontext(&main_ctx_, &c->ctx);
+  main_ctx_.SwitchTo(c->ctx);
   tls_current = nullptr;
   current_ = nullptr;
 }

@@ -5,20 +5,19 @@
 //    co-routine mechanism for blocking one thread and resuming another."
 //
 // This module is that implementation: threads are coroutines (ucontext
-// contexts with private stacks) multiplexed onto the one OS thread that
-// calls Run(). There is no preemption and no parallelism; control moves
-// only at blocking operations and explicit Yields, so the synchronization
-// primitives (src/coro/sync.h) need none of the Firefly machinery — no
-// lock bit, no spin-lock, no eventcount. Mutex release hands off directly;
-// the wakeup-waiting race cannot occur because nothing runs between a
-// Wait's release-mutex and its block. The same *specification* governs both
-// implementations — the point the paper makes about specifications
-// insulating clients from implementation structure.
+// contexts with private guarded stacks, src/base/fiber_context.h — the same
+// switch the simulated Firefly's fibers use) multiplexed onto the one OS
+// thread that calls Run(). There is no preemption and no parallelism;
+// control moves only at blocking operations and explicit Yields, so the
+// synchronization primitives (src/coro/sync.h) need none of the Firefly
+// machinery — no lock bit, no spin-lock, no eventcount. Mutex release hands
+// off directly; the wakeup-waiting race cannot occur because nothing runs
+// between a Wait's release-mutex and its block. The same *specification*
+// governs both implementations — the point the paper makes about
+// specifications insulating clients from implementation structure.
 
 #ifndef TAOS_SRC_CORO_SCHEDULER_H_
 #define TAOS_SRC_CORO_SCHEDULER_H_
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <functional>
@@ -26,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/fiber_context.h"
 #include "src/base/intrusive_queue.h"
 #include "src/spec/state.h"
 #include "src/spec/trace.h"
@@ -62,8 +62,8 @@ struct Coro {
   IntrusiveQueue<Coro> joiners;  // coroutines waiting for this one to end
 
   std::function<void()> body;
-  ucontext_t ctx{};
-  std::unique_ptr<char[]> stack;
+  FiberStack stack;  // allocated when the coroutine first runs
+  FiberContext ctx;
 
   Coro() = default;
   Coro(const Coro&) = delete;
@@ -152,7 +152,7 @@ class Scheduler {
   void MakeReady(Coro* c);
 
  private:
-  static void Trampoline();
+  static void Trampoline(void* coro);
   void SwitchToScheduler();
   void StartOrResume(Coro* c);
   void FinishCurrent();  // marks done, wakes joiners; runs on the coro stack
@@ -161,7 +161,7 @@ class Scheduler {
   std::vector<std::unique_ptr<Coro>> coros_;
   IntrusiveQueue<Coro> run_queue_;
   Coro* current_ = nullptr;
-  ucontext_t main_ctx_{};
+  FiberContext main_ctx_;
   spec::ThreadId next_id_ = 1;
   spec::ObjId next_obj_id_ = 1;
   spec::TraceSink* trace_ = nullptr;

@@ -1,20 +1,21 @@
 // A Fiber is a simulated Taos thread running on the simulated Firefly
 // multiprocessor (see machine.h).
 //
-// Each fiber is backed by a host OS thread, but at most one fiber (or the
-// machine driver) ever runs at a time: fibers hand control back to the
-// driver at every atomic step boundary (Machine::Step), so a whole execution
-// is a deterministic function of the driver's scheduling choices.
+// Each fiber is a ucontext coroutine with its own guarded stack
+// (src/base/fiber_context.h), run on the OS thread that calls Machine::Run.
+// At most one fiber (or the machine driver) ever runs at a time: fibers
+// switch back to the driver at every atomic step boundary (Machine::Step),
+// so a whole execution is a deterministic function of the driver's
+// scheduling choices.
 
 #ifndef TAOS_SRC_FIREFLY_FIBER_H_
 #define TAOS_SRC_FIREFLY_FIBER_H_
 
 #include <cstdint>
 #include <functional>
-#include <semaphore>
 #include <string>
-#include <thread>
 
+#include "src/base/fiber_context.h"
 #include "src/base/intrusive_queue.h"
 #include "src/spec/state.h"
 
@@ -23,8 +24,8 @@ namespace taos::firefly {
 class Machine;
 
 // Thrown into parked fibers when the Machine is torn down with fibers still
-// blocked (e.g. after a detected deadlock), unwinding their stacks so the
-// backing OS threads can exit.
+// blocked (e.g. after a detected deadlock), unwinding their stacks (running
+// destructors) before the stacks are freed.
 struct FiberKilled {};
 
 struct Fiber {
@@ -82,8 +83,9 @@ struct Fiber {
   bool ended_by_alert = false;
 
   std::function<void()> body;
-  std::thread os;
-  std::binary_semaphore go{0};  // driver -> fiber handoff
+  bool started = false;  // dispatched at least once; owns a stack from then
+  FiberStack stack;
+  FiberContext context;
 
   Fiber() = default;
   Fiber(const Fiber&) = delete;

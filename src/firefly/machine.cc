@@ -9,7 +9,8 @@
 namespace taos::firefly {
 
 namespace {
-thread_local Fiber* tls_fiber = nullptr;
+// The running fiber; the driver sets it on every resume.
+constinit thread_local Fiber* tls_fiber = nullptr;
 }  // namespace
 
 std::string RunResult::ToString() const {
@@ -43,20 +44,8 @@ Machine::Machine(MachineConfig config) : config_(config) {
 }
 
 Machine::~Machine() {
-  shutting_down_ = true;
-  // Unwind still-parked fibers one at a time (so their teardown is
-  // serialized), then reap everything.
-  for (auto& f : fibers_) {
-    if (f->os.joinable() && f->run_state != Fiber::Run::kDone) {
-      f->go.release();
-      f->os.join();
-    }
-  }
-  for (auto& f : fibers_) {
-    if (f->os.joinable()) {
-      f->os.join();
-    }
-  }
+  // Unwind still-parked fibers (a fiber never dispatched never runs).
+  KillStragglers();
   // Drain the ready pools so queue destructors see empty lists.
   for (auto& q : ready_pool_) {
     while (q.PopFront() != nullptr) {
@@ -77,30 +66,35 @@ FiberHandle Machine::Fork(std::function<void()> body, int priority,
   f->body = std::move(body);
   f->run_state = Fiber::Run::kReadyPool;
   ready_pool_[priority].PushBack(f);
-  f->os = std::thread([this, f] { FiberMain(f); });
   fibers_.push_back(std::move(fiber));
   return FiberHandle{f};
 }
 
-void Machine::FiberMain(Fiber* f) {
-  tls_fiber = f;
-  bool clean = true;
+void Machine::FiberMain(void* fiber) {
+  Fiber* f = static_cast<Fiber*>(fiber);
   try {
-    WaitForGo(f);
     f->body();
   } catch (const FiberKilled&) {
-    clean = false;
   } catch (const Alerted&) {
     f->ended_by_alert = true;
   }
   f->run_state = Fiber::Run::kDone;
   if (f->cpu >= 0) {
-    cpu_fiber_[static_cast<std::size_t>(f->cpu)] = nullptr;
+    f->machine->cpu_fiber_[static_cast<std::size_t>(f->cpu)] = nullptr;
     f->cpu = -1;
   }
-  if (clean) {
-    driver_sem_.release();
+  // Returning switches back to the driver for good.
+}
+
+void Machine::Resume(Fiber* f) {
+  if (!f->started) {
+    f->started = true;
+    f->stack = FiberStack(kFiberStackBytes);
+    f->context.Make(f->stack, &Machine::FiberMain, f, &driver_context_);
   }
+  tls_fiber = f;
+  driver_context_.SwitchTo(f->context);
+  tls_fiber = nullptr;
 }
 
 Fiber* Machine::Self() {
@@ -108,16 +102,11 @@ Fiber* Machine::Self() {
   return tls_fiber;
 }
 
-void Machine::WaitForGo(Fiber* f) {
-  f->go.acquire();
+void Machine::YieldToDriver(Fiber* f) {
+  f->context.SwitchTo(driver_context_);
   if (shutting_down_) {
     throw FiberKilled{};
   }
-}
-
-void Machine::YieldToDriver(Fiber* f) {
-  driver_sem_.release();
-  WaitForGo(f);
 }
 
 void Machine::Step() {
@@ -355,8 +344,7 @@ RunResult Machine::Run() {
     if (f->run_state == Fiber::Run::kSpinning) {
       f->run_state = Fiber::Run::kOnCpu;
     }
-    f->go.release();
-    driver_sem_.acquire();
+    Resume(f);
   }
   result.steps = steps_;
   aborted_ = result.deadlock || result.hit_step_limit;
@@ -371,10 +359,11 @@ RunResult Machine::Run() {
 
 void Machine::KillStragglers() {
   shutting_down_ = true;
-  for (auto& f : fibers_) {
-    if (f->os.joinable() && f->run_state != Fiber::Run::kDone) {
-      f->go.release();  // FiberKilled is thrown from its next WaitForGo
-      f->os.join();
+  // By index: an unwinding fiber may still Fork (it never starts).
+  for (std::size_t i = 0; i < fibers_.size(); ++i) {
+    Fiber* f = fibers_[i].get();
+    if (f->started && f->run_state != Fiber::Run::kDone) {
+      Resume(f);  // FiberKilled is thrown from its YieldToDriver
     }
   }
 }

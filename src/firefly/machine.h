@@ -12,8 +12,9 @@
 //  - The machine has K simulated processors. Each fiber occupies a processor
 //    while runnable; the Nub's ready pool holds fibers awaiting one.
 //  - Execution proceeds in atomic steps. Before every shared-memory
-//    micro-operation a fiber calls Machine::Step(), which hands control to
-//    the driver; the driver picks which processor's fiber performs the next
+//    micro-operation a fiber calls Machine::Step(), which switches to the
+//    driver (fibers are coroutines on the thread that calls Run(); see
+//    fiber.h); the driver picks which processor's fiber performs the next
 //    step. All interleavings of the real machine at instruction granularity
 //    are reachable by some choice sequence, and a fixed choice sequence
 //    replays deterministically.
@@ -35,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <semaphore>
 #include <string>
 #include <vector>
 
@@ -172,10 +172,15 @@ class Machine {
 
  private:
   static constexpr int kMaxPriority = 8;
+  static constexpr std::size_t kFiberStackBytes = 256 * 1024;
 
-  void FiberMain(Fiber* f);
+  static void FiberMain(void* fiber);
+  // Driver side: switches into `f` (starting it on first dispatch) until it
+  // next yields or finishes.
+  void Resume(Fiber* f);
+  // Fiber side: switches to the driver until this fiber is resumed; throws
+  // FiberKilled if that resumption is the teardown's.
   void YieldToDriver(Fiber* f);
-  void WaitForGo(Fiber* f);
   void KillStragglers();
   void Dispatch();  // assign ready fibers to idle processors
   void CollectRunnable(std::vector<Fiber*>* out) const;
@@ -203,7 +208,7 @@ class Machine {
   bool spin_bit_ = false;
   Fiber* spin_holder_ = nullptr;
 
-  std::binary_semaphore driver_sem_{0};
+  FiberContext driver_context_;
   bool shutting_down_ = false;
   bool ran_ = false;
   bool aborted_ = false;

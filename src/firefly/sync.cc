@@ -18,7 +18,7 @@ void Emit(Machine& m, const spec::Action& a) {
 
 // Flight-recorder events from the simulator carry the *fiber* id as their
 // tid, so a rendered trace shows one row per simulated Taos thread rather
-// than one per backing OS thread.
+// than one row for the OS thread that runs them all.
 std::uint32_t Tid(const Fiber* f) { return static_cast<std::uint32_t>(f->id); }
 
 }  // namespace

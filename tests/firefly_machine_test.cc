@@ -1,7 +1,17 @@
 // The simulated Firefly: determinism, scheduling, time slicing, priorities,
-// deadlock detection, teardown of stuck fibers.
+// deadlock detection, teardown of stuck fibers, and the fiber substrate
+// (coroutines on the driver's thread, guarded stacks, per-fiber exception
+// state).
 
 #include "src/firefly/machine.h"
+
+#include <signal.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -170,17 +180,20 @@ TEST(MachineTest, StepLimitStopsLivelock) {
 
 TEST(MachineTest, ForkFromInsideAFiber) {
   Machine m;
-  int child_ran = 0;
-  m.Fork([&m, &child_ran] {
-    m.Step();
-    m.Fork([&child_ran, &m] {
+  constexpr int kChildren = 64;  // grows the fiber table under live fibers
+  int children_ran = 0;
+  m.Fork([&m, &children_ran] {
+    for (int i = 0; i < kChildren; ++i) {
       m.Step();
-      child_ran = 1;
-    });
+      m.Fork([&children_ran, &m] {
+        m.Step();
+        ++children_ran;
+      });
+    }
   });
   RunResult r = m.Run();
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(child_ran, 1);
+  EXPECT_EQ(children_ran, kChildren);
 }
 
 TEST(MachineTest, MigrationsTracked) {
@@ -233,6 +246,142 @@ TEST(MachineTest, FiberIdsAreDense) {
   EXPECT_EQ(b.id(), 2u);
   EXPECT_TRUE(m.Run().completed);
 }
+
+TEST(MachineTest, FiberBodiesRunOnTheDriversThread) {
+  Machine m;
+  const std::thread::id driver = std::this_thread::get_id();
+  std::thread::id seen[2];
+  for (std::thread::id& id : seen) {
+    m.Fork([&m, &id] {
+      m.Step();
+      id = std::this_thread::get_id();
+    });
+  }
+  EXPECT_TRUE(m.Run().completed);
+  EXPECT_EQ(seen[0], driver);
+  EXPECT_EQ(seen[1], driver);
+}
+
+struct Sentinel {
+  int* destroyed;
+  ~Sentinel() { ++*destroyed; }
+};
+
+TEST(MachineTest, StragglerUnwindDestroysFrameOnce) {
+  int destroyed = 0;
+  {
+    Machine m;
+    Semaphore never(m, /*initially_available=*/false);
+    m.Fork([&never, &destroyed] {
+      Sentinel s{&destroyed};
+      never.P();
+    });
+    RunResult r = m.Run();
+    EXPECT_TRUE(r.deadlock);
+    // Run() unwinds the stuck fiber before returning, while `never` lives.
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(MachineTest, MachineDestroyedWithoutRunNeverStartsItsFibers) {
+  int ran = 0;
+  {
+    Machine m;
+    m.Fork([&ran] { ++ran; });
+    m.Fork([&ran] { ++ran; });
+  }
+  EXPECT_EQ(ran, 0);
+}
+
+TEST(MachineTest, CatchHandlersInDifferentFibersInterleave) {
+  // Each fiber steps while inside its own catch handler, so the handlers
+  // overlap in every order the seeds pick. A rethrow must find the
+  // fiber's own exception, not whichever the other fiber caught last.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    MachineConfig cfg;
+    cfg.seed = seed;
+    Machine m(cfg);
+    std::string rethrown[2];
+    for (int i = 0; i < 2; ++i) {
+      m.Fork([&m, &rethrown, i] {
+        m.Step();
+        try {
+          throw std::runtime_error(i == 0 ? "a" : "b");
+        } catch (const std::runtime_error&) {
+          for (int k = 0; k < 3 + i; ++k) {
+            m.Step();
+          }
+          try {
+            throw;
+          } catch (const std::runtime_error& again) {
+            rethrown[i] = again.what();
+          }
+          m.Step();
+        }
+      });
+    }
+    EXPECT_TRUE(m.Run().completed);
+    EXPECT_EQ(rethrown[0], "a") << "seed " << seed;
+    EXPECT_EQ(rethrown[1], "b") << "seed " << seed;
+  }
+}
+
+#if !defined(__SANITIZE_THREAD__)
+// Bounds of the overflowing fiber's guard page, for the SIGSEGV handler.
+const char* guard_lo = nullptr;
+const char* guard_hi = nullptr;
+
+void ReportGuardFault(int, siginfo_t* info, void*) {
+  const char* addr = static_cast<const char*>(info->si_addr);
+  if (addr >= guard_lo && addr < guard_hi) {
+    static const char kMsg[] = "fault in the guard page\n";
+    (void)!write(STDERR_FILENO, kMsg, sizeof(kMsg) - 1);
+    _exit(3);
+  }
+  _exit(4);
+}
+
+// Out of line, so each frame is small and the overflow cannot step over the
+// one-page guard.
+[[gnu::noinline]] std::uint64_t Recurse(std::uint64_t depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  if (depth == UINT64_MAX) {
+    return 0;
+  }
+  return Recurse(depth + 1) + static_cast<std::uint64_t>(frame[0]);
+}
+
+void OverflowAFiberStack() {
+  // The handler runs on its own stack: the faulting one is exhausted.
+  static char alt_stack[64 * 1024];
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof(alt_stack);
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_sigaction = &ReportGuardFault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+
+  Machine m;
+  m.Fork([] {
+    const char* bottom =
+        static_cast<const char*>(Machine::Self()->stack.bottom());
+    guard_lo = bottom - sysconf(_SC_PAGESIZE);
+    guard_hi = bottom;
+    Recurse(0);
+  });
+  m.Run();
+}
+
+TEST(MachineDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(OverflowAFiberStack(), ::testing::ExitedWithCode(3),
+              "fault in the guard page");
+}
+#endif  // !__SANITIZE_THREAD__
 
 }  // namespace
 }  // namespace taos::firefly

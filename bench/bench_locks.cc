@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "src/base/spinlock.h"
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 #include "src/workload/rwlock.h"
 #include "src/workload/work.h"
@@ -83,11 +84,14 @@ void BM_SpinClh(benchmark::State& state) { ContendedLoop(state, g_spin); }
 
 taos::Mutex g_mutex;
 void MutexLoop(benchmark::State& state) {
+  // Nub acquires across the run, from the obs counters (g_mutex is the only
+  // Mutex the run touches).
+  const std::uint64_t nub0 =
+      taos::obs::Snapshot().Count(taos::obs::Counter::kNubAcquire);
   ContendedLoop(state, g_mutex);
   if (state.thread_index() == 0) {
-    state.counters["slow_acquires"] =
-        static_cast<double>(g_mutex.slow_acquires());
-    g_mutex.ResetStats();
+    state.counters["slow_acquires"] = static_cast<double>(
+        taos::obs::Snapshot().Count(taos::obs::Counter::kNubAcquire) - nub0);
   }
 }
 void BM_MutexTas(benchmark::State& state) { MutexLoop(state); }

@@ -18,30 +18,40 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 
 namespace {
+
+// Process-wide obs counter, for deltas across one benchmark run.
+std::uint64_t ObsCount(taos::obs::Counter c) {
+  return taos::obs::Snapshot().Count(c);
+}
 
 void BM_SignalNoWaiters(benchmark::State& state) {
   taos::Condition c;
   const std::uint64_t nub_before =
       taos::Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const std::uint64_t fast0 = ObsCount(taos::obs::Counter::kFastSignal);
   for (auto _ : state) {
     c.Signal();
   }
   state.counters["nub_entries"] = static_cast<double>(
       taos::Nub::Get().nub_entries.load(std::memory_order_relaxed) -
       nub_before);
-  state.counters["fast_signals"] = static_cast<double>(c.fast_signals());
+  state.counters["fast_signals"] =
+      static_cast<double>(ObsCount(taos::obs::Counter::kFastSignal) - fast0);
 }
 BENCHMARK(BM_SignalNoWaiters);
 
 void BM_BroadcastNoWaiters(benchmark::State& state) {
   taos::Condition c;
+  const std::uint64_t fast0 = ObsCount(taos::obs::Counter::kFastBroadcast);
   for (auto _ : state) {
     c.Broadcast();
   }
-  state.counters["fast_signals"] = static_cast<double>(c.fast_signals());
+  state.counters["fast_signals"] = static_cast<double>(
+      ObsCount(taos::obs::Counter::kFastBroadcast) - fast0);
 }
 BENCHMARK(BM_BroadcastNoWaiters);
 
@@ -51,10 +61,12 @@ void BM_SignalNubAlways(benchmark::State& state) {
   // Every Signal forced down the Nub path (spin-lock, eventcount advance,
   // queue inspection): the per-signal cost the user-code no-waiters gate
   // saves. Compare against BM_SignalNoWaiters.
+  const std::uint64_t nub0 = ObsCount(taos::obs::Counter::kNubSignal);
   for (auto _ : state) {
     c.SignalNubPathForBench();
   }
-  state.counters["nub_signals"] = static_cast<double>(c.nub_signals());
+  state.counters["nub_signals"] =
+      static_cast<double>(ObsCount(taos::obs::Counter::kNubSignal) - nub0);
 }
 BENCHMARK(BM_SignalNubAlways);
 

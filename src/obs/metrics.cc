@@ -96,7 +96,7 @@ const char* HistogramName(Histogram h) {
 }
 
 namespace internal {
-thread_local Cell* g_cell = nullptr;
+constinit thread_local Cell* g_cell = nullptr;
 }  // namespace internal
 
 Cell* RegisterCell() {

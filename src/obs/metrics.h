@@ -134,10 +134,12 @@ struct alignas(kCacheLineBytes) Cell {
 Cell* RegisterCell();
 
 namespace internal {
-// Namespace-scope with constant (zero) initialization: access compiles to a
-// plain TLS load with no init-on-first-use guard, which matters because
-// every fast-path increment goes through here. RegisterCell() sets it.
-extern thread_local Cell* g_cell;
+// constinit on the declaration every includer sees: the compiler knows no
+// dynamic initializer exists, so access is a plain TLS load with no
+// TLS-wrapper call, which matters because every fast-path increment goes
+// through here. (UBSan also flags the wrapper's load as a null-pointer
+// load, so keep it.) RegisterCell() sets it.
+extern constinit thread_local Cell* g_cell;
 }  // namespace internal
 
 inline Cell& LocalCell() {

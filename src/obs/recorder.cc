@@ -13,7 +13,7 @@
 namespace taos::obs {
 
 namespace internal {
-std::atomic<bool> g_recorder_enabled{false};
+std::atomic<std::uint8_t> g_slow_mode{0};
 }  // namespace internal
 
 namespace {
@@ -109,8 +109,13 @@ void ScopedEvent::Finish() {
   RecordEvent(op_, obj_, start_, NowNanos() - start_, tid_);
 }
 
-void SetRecorderEnabled(bool on) {
-  internal::g_recorder_enabled.store(on, std::memory_order_relaxed);
+void SetSlowModeBit(SlowModeBit bit, bool on) {
+  if (on) {
+    internal::g_slow_mode.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    internal::g_slow_mode.fetch_and(static_cast<std::uint8_t>(~bit),
+                                    std::memory_order_relaxed);
+  }
 }
 
 void RecordEvent(Op op, std::uint64_t obj, std::uint64_t ts_ns,

@@ -18,9 +18,10 @@
 // The recorder is distinct from the spec TraceSink (src/spec/trace.h): the
 // sink captures spec-visible atomic actions for the conformance checker and
 // forces every operation down its Nub path; the recorder timestamps the
-// production code paths — fast paths included — and costs one relaxed load
-// per operation while disabled. The two compose: a traced (conformance)
-// run can record flight events at the same time.
+// production code paths — fast paths included. While both are off, an
+// in-line fast path pays one relaxed load of the slow-mode byte below for
+// the pair of them. The two compose: a traced (conformance) run can record
+// flight events at the same time.
 
 #ifndef TAOS_SRC_OBS_RECORDER_H_
 #define TAOS_SRC_OBS_RECORDER_H_
@@ -79,17 +80,35 @@ struct Event {
   std::uint16_t pad = 0;
 };
 
+// The slow-mode byte: one bit per reason a synchronization operation must
+// leave its in-line fast path. The in-line fast paths in src/threads test
+// the whole byte once (SlowMode()) and otherwise never look at the recorder
+// or the spec trace sink; their out-of-line slow arms sort out which bit is
+// set. Relaxed, like every switch here: both are flipped while quiescent.
+enum SlowModeBit : std::uint8_t {
+  kSlowRecorder = 1,   // the flight recorder is on (SetRecorderEnabled)
+  kSlowSpecTrace = 2,  // a spec TraceSink is installed (Nub::SetTrace)
+};
+
 namespace internal {
-extern std::atomic<bool> g_recorder_enabled;
+extern std::atomic<std::uint8_t> g_slow_mode;
 }  // namespace internal
 
-inline bool RecorderEnabled() {
-  return internal::g_recorder_enabled.load(std::memory_order_relaxed);
+inline bool SlowMode() {
+  return internal::g_slow_mode.load(std::memory_order_relaxed) != 0;
 }
+
+inline bool RecorderEnabled() {
+  return (internal::g_slow_mode.load(std::memory_order_relaxed) &
+          kSlowRecorder) != 0;
+}
+
+// Sets or clears one slow-mode bit.
+void SetSlowModeBit(SlowModeBit bit, bool on);
 
 // Runtime switch. Enabling is cheap and safe at any quiescent point;
 // disabling leaves the rings intact for draining.
-void SetRecorderEnabled(bool on);
+inline void SetRecorderEnabled(bool on) { SetSlowModeBit(kSlowRecorder, on); }
 
 // Appends one event to the calling thread's ring (overwriting the oldest if
 // full). tid 0 means "this thread". Callers normally go through ScopedEvent

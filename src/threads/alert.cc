@@ -481,15 +481,12 @@ void AlertP(Semaphore& s) {
   // discusses (the implementor kept it for efficiency; the released spec
   // legitimized it).
   if (s.bit_.exchange(1, std::memory_order_acquire) == 0) {
-    s.fast_ps_.fetch_add(1, std::memory_order_relaxed);
     obs::Inc(obs::Counter::kFastSemP);
     return;
   }
 
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  s.slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAlertP);
-
 
   for (;;) {
     bool parked = false;

@@ -139,28 +139,20 @@ bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
   return ConsumeTimeoutWoken(self);
 }
 
-void Condition::Signal() {
-  obs::WithEvent(obs::Op::kSignal, id_, [&] {
-    Nub& nub = Nub::Get();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubSignal);
-      TracedSignal(nub.Current());
-      return;
-    }
-    // User code: avoid calling the Nub if there are no threads to unblock.
-    if (waiters_.load(std::memory_order_seq_cst) == 0) {
-      fast_signals_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastSignal);
-      return;
-    }
-    NubSignal();
-  });
+void Condition::SignalSlow() {
+  obs::ScopedEvent ev(obs::Op::kSignal, id_);
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    SignalInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubSignal);
+  TracedSignal(nub.Current());
 }
 
 void Condition::NubSignal() {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  nub_signals_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubSignal);
   ThreadRecord* wake = nullptr;
   {
@@ -179,21 +171,15 @@ void Condition::NubSignal() {
   }
 }
 
-void Condition::Broadcast() {
-  obs::WithEvent(obs::Op::kBroadcast, id_, [&] {
-    Nub& nub = Nub::Get();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubBroadcast);
-      TracedBroadcast(nub.Current());
-      return;
-    }
-    if (waiters_.load(std::memory_order_seq_cst) == 0) {
-      fast_signals_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastBroadcast);
-      return;
-    }
-    NubBroadcast();
-  });
+void Condition::BroadcastSlow() {
+  obs::ScopedEvent ev(obs::Op::kBroadcast, id_);
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    BroadcastInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubBroadcast);
+  TracedBroadcast(nub.Current());
 }
 
 void Condition::NubBroadcast() {
@@ -365,7 +351,6 @@ WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
 
 void Condition::TracedSignal(ThreadRecord* self) {
   Nub& nub = Nub::Get();
-  nub_signals_.fetch_add(1, std::memory_order_relaxed);
   ThreadRecord* wake = nullptr;
   {
     NubGuard g(nub_lock_);

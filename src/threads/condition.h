@@ -41,6 +41,8 @@
 
 #include "src/base/eventcount.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/threads/mutex.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/wait_result.h"
@@ -70,11 +72,25 @@ class Condition {
   WaitResult WaitFor(Mutex& m, std::chrono::nanoseconds timeout);
 
   // Unblocks at least one waiting thread, if any are waiting. May unblock
-  // more than one.
-  void Signal();
+  // more than one. In line: one slow-mode test, then the user-code "no
+  // threads to unblock" gate, which skips the Nub. The seq_cst load pairs
+  // with Wait's seq_cst waiters_ increment.
+  void Signal() {
+    if (obs::SlowMode()) [[unlikely]] {
+      SignalSlow();
+      return;
+    }
+    SignalInline();
+  }
 
-  // Unblocks all waiting threads.
-  void Broadcast();
+  // Unblocks all waiting threads. In line, gated like Signal.
+  void Broadcast() {
+    if (obs::SlowMode()) [[unlikely]] {
+      BroadcastSlow();
+      return;
+    }
+    BroadcastInline();
+  }
 
   spec::ObjId id() const { return id_; }
 
@@ -84,23 +100,12 @@ class Condition {
   // no-waiters gate. Semantically a valid Signal.
   void SignalNubPathForBench() { NubSignal(); }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_signals() const {
-    return fast_signals_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t nub_signals() const {
-    return nub_signals_.load(std::memory_order_relaxed);
-  }
-  // Waits that returned from Block without sleeping because a Signal or
-  // Broadcast intervened in the window (the "extra" threads a Signal
-  // unblocks).
+  // Waits on this condition that returned from Block without sleeping
+  // because a Signal or Broadcast intervened in the window (the "extra"
+  // threads a Signal unblocks). The per-object view of the process-wide
+  // obs::Counter::kWakeupWaitingHits; relaxed, off every fast path.
   std::uint64_t absorbed_wakeups() const {
     return absorbed_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_signals_.store(0, std::memory_order_relaxed);
-    nub_signals_.store(0, std::memory_order_relaxed);
-    absorbed_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -115,8 +120,30 @@ class Condition {
   // Block with a deadline; returns true iff the wait ended by expiry.
   bool BlockFor(ThreadRecord* self, EventCount::Value i,
                 std::uint64_t deadline_ns);
-  void NubSignal();
-  void NubBroadcast();
+  // The in-line bodies, shared by the fast path and the slow arms' untraced
+  // case.
+  void SignalInline() {
+    if (waiters_.load(std::memory_order_seq_cst) == 0) [[likely]] {
+      obs::Inc(obs::Counter::kFastSignal);
+      return;
+    }
+    NubSignal();
+  }
+
+  void BroadcastInline() {
+    if (waiters_.load(std::memory_order_seq_cst) == 0) [[likely]] {
+      obs::Inc(obs::Counter::kFastBroadcast);
+      return;
+    }
+    NubBroadcast();
+  }
+
+  // Slow arms (recorder on or spec tracing on), out of line.
+  [[gnu::noinline]] void SignalSlow();
+  [[gnu::noinline]] void BroadcastSlow();
+
+  [[gnu::noinline]] void NubSignal();
+  [[gnu::noinline]] void NubBroadcast();
 
   // Traced (spec-emitting) paths.
   void TracedWait(Mutex& m, ThreadRecord* self);
@@ -143,8 +170,6 @@ class Condition {
   std::vector<ThreadRecord*> pending_raise_;
   std::vector<ThreadRecord*> pending_timeout_;
 
-  std::atomic<std::uint64_t> fast_signals_{0};
-  std::atomic<std::uint64_t> nub_signals_{0};
   std::atomic<std::uint64_t> absorbed_{0};
 };
 

@@ -27,52 +27,42 @@ Event::~Event() {
   TAOS_CHECK(pollers_len_.load(std::memory_order_relaxed) == 0);
 }
 
-void Event::Set() {
-  obs::WithEvent(obs::Op::kEventSet, id_, [&] {
-    Nub& nub = Nub::Get();
-    if (nub.tracing()) {
-      TracedSet(nub.Current());
-      return;
-    }
-    set_.store(1, std::memory_order_seq_cst);
-    TAOS_CHAOS(kEventSetToResume);
-    // Dekker pairing, twice over: a plain waiter enqueues (queue_len_
-    // fetch_add, seq_cst) before testing set_, and a poller registers
-    // (pollers_len_ fetch_add, seq_cst) before scanning set_. Either the
-    // waiter/poller sees the flag, or this load sees the registration.
-    if (queue_len_.load(std::memory_order_seq_cst) > 0 ||
-        pollers_len_.load(std::memory_order_seq_cst) > 0) {
-      NubSet();
-    }
-  });
-}
-
-void Event::Reset() {
+void Event::SetSlow() {
+  obs::ScopedEvent ev(obs::Op::kEventSet, id_);
   Nub& nub = Nub::Get();
-  if (nub.tracing()) {
-    TracedReset(nub.Current());
+  if (!nub.tracing()) {
+    SetInline();
     return;
   }
-  set_.store(0, std::memory_order_seq_cst);
+  TracedSet(nub.Current());
 }
 
-bool Event::TryWait() {
+void Event::ResetSlow() {
   Nub& nub = Nub::Get();
-  if (nub.tracing()) {
-    ThreadRecord* self = nub.Current();
-    NubGuard g(nub_lock_);
-    if (set_.load(std::memory_order_relaxed) == 0) {
-      return false;
-    }
-    if (reset_ == EventReset::kAuto) {
-      set_.store(0, std::memory_order_relaxed);
-      nub.EmitTraced(spec::MakeEventConsume(self->id, id_));
-    } else {
-      nub.EmitTraced(spec::MakeEventWait(self->id, id_));
-    }
-    return true;
+  if (!nub.tracing()) {
+    set_.store(0, std::memory_order_seq_cst);
+    return;
   }
-  return TryConsume(std::memory_order_acquire);
+  TracedReset(nub.Current());
+}
+
+bool Event::TryWaitSlow() {
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    return TryConsume(std::memory_order_acquire);
+  }
+  ThreadRecord* self = nub.Current();
+  NubGuard g(nub_lock_);
+  if (set_.load(std::memory_order_relaxed) == 0) {
+    return false;
+  }
+  if (reset_ == EventReset::kAuto) {
+    set_.store(0, std::memory_order_relaxed);
+    nub.EmitTraced(spec::MakeEventConsume(self->id, id_));
+  } else {
+    nub.EmitTraced(spec::MakeEventWait(self->id, id_));
+  }
+  return true;
 }
 
 void Event::Wait() {

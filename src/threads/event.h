@@ -35,7 +35,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/base/chaos.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/recorder.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
@@ -74,18 +76,36 @@ class Event {
 
   // ENSURES epost = TRUE, waking waiters: all of them for manual-reset, one
   // for auto-reset (pollers are notified when no plain waiter took the
-  // pulse). Safe from any thread, no precondition — like V.
-  void Set();
+  // pulse). Safe from any thread, no precondition — like V. In line, as
+  // are Reset and TryWait: one slow-mode test, then the flag operation.
+  void Set() {
+    if (obs::SlowMode()) [[unlikely]] {
+      SetSlow();
+      return;
+    }
+    SetInline();
+  }
 
   // ENSURES epost = FALSE. No wakeups.
-  void Reset();
+  void Reset() {
+    if (obs::SlowMode()) [[unlikely]] {
+      ResetSlow();
+      return;
+    }
+    set_.store(0, std::memory_order_seq_cst);
+  }
 
   // Blocks until the event is set; auto-reset consumes it. Not alertable
   // (Poll's alertable variants are the composition point with Alert).
   void Wait();
 
   // Single attempt; true iff the event was set (and, auto mode, consumed).
-  bool TryWait();
+  bool TryWait() {
+    if (obs::SlowMode()) [[unlikely]] {
+      return TryWaitSlow();
+    }
+    return TryConsume(std::memory_order_acquire);
+  }
 
   // Wait with a deadline: kSatisfied (auto: consumed), or kTimeout once
   // `timeout` has elapsed. A Set that grants this thread always beats a
@@ -103,9 +123,27 @@ class Event {
   friend class Timer;
   friend void Alert(ThreadHandle t);
 
+  // Dekker pairing, twice over: a plain waiter enqueues (queue_len_
+  // fetch_add, seq_cst) before testing set_, and a poller registers
+  // (pollers_len_ fetch_add, seq_cst) before scanning set_. Either the
+  // waiter/poller sees the flag, or this load sees the registration.
+  void SetInline() {
+    set_.store(1, std::memory_order_seq_cst);
+    TAOS_CHAOS(kEventSetToResume);
+    if (queue_len_.load(std::memory_order_seq_cst) > 0 ||
+        pollers_len_.load(std::memory_order_seq_cst) > 0) [[unlikely]] {
+      NubSet();
+    }
+  }
+
+  // Slow arms (recorder on or spec tracing on), out of line.
+  [[gnu::noinline]] void SetSlow();
+  [[gnu::noinline]] void ResetSlow();
+  [[gnu::noinline]] bool TryWaitSlow();
+
   void NubWait(ThreadRecord* self);
   bool NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  void NubSet();
+  [[gnu::noinline]] void NubSet();
   void ResumeForSetLocked(std::vector<waitq::Parker*>* unparks);
   void TracedSet(ThreadRecord* self);
   void TracedReset(ThreadRecord* self);

@@ -17,47 +17,32 @@ Mutex::~Mutex() {
   TAOS_CHECK(bit_.load(std::memory_order_relaxed) == 0);
 }
 
-void Mutex::Acquire() {
-  obs::WithEvent(obs::Op::kAcquire, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubAcquire);
-      TracedAcquire(self, spec::MakeAcquire(self->id, id_));
-      return;
-    }
-    // User-code fast path: one test-and-set when there is no contention.
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastMutexAcquire);
-      NoteAcquired(self);
-      return;
-    }
-    NubAcquire(self);
-    NoteAcquired(self);
-  });
+void Mutex::AcquireSlow() {
+  obs::ScopedEvent ev(obs::Op::kAcquire, id_);
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    AcquireInline();
+    return;
+  }
+  ThreadRecord* self = nub.Current();
+  obs::Inc(obs::Counter::kNubAcquire);
+  TracedAcquire(self, spec::MakeAcquire(self->id, id_));
 }
 
-bool Mutex::TryAcquire() {
+bool Mutex::TryAcquireSlow() {
   Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    return TryAcquireInline();
+  }
   ThreadRecord* self = nub.Current();
-  if (nub.tracing()) {
-    NubGuard g(nub_lock_);
-    if (bit_.load(std::memory_order_relaxed) != 0) {
-      return false;
-    }
-    bit_.store(1, std::memory_order_relaxed);
-    NoteAcquired(self);
-    nub.EmitTraced(spec::MakeAcquire(self->id, id_));
-    return true;
+  NubGuard g(nub_lock_);
+  if (bit_.load(std::memory_order_relaxed) != 0) {
+    return false;
   }
-  if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-    fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastMutexAcquire);
-    NoteAcquired(self);
-    return true;
-  }
-  return false;
+  bit_.store(1, std::memory_order_relaxed);
+  NoteAcquired(self);
+  nub.EmitTraced(spec::MakeAcquire(self->id, id_));
+  return true;
 }
 
 WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
@@ -76,7 +61,6 @@ WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
     } else if (bit_.exchange(1, std::memory_order_acquire) == 0) {
       // Same user-code fast path as Acquire — tried even with an expired
       // deadline, so AcquireFor(0) is TryAcquire with a WaitResult.
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastMutexAcquire);
       NoteAcquired(self);
     } else if (timeout.count() <= 0) {
@@ -96,7 +80,6 @@ WaitResult Mutex::AcquireFor(std::chrono::nanoseconds timeout) {
 void Mutex::NubAcquire(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -140,7 +123,6 @@ void Mutex::NubAcquire(ThreadRecord* self) {
 bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -190,31 +172,14 @@ bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-void Mutex::Release() {
-  obs::WithEvent(obs::Op::kRelease, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    // REQUIRES m = SELF. (Checked here as a library extension; the paper's
-    // implementation trusted the caller.)
-    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubRelease);
-      TracedRelease(self);
-      return;
-    }
-    NoteReleased();
-    // User code: clear the Lock-bit; call the Nub only if the Queue is
-    // non-empty. The seq_cst store/load pair below pairs with the
-    // enqueue-then-test in NubAcquire so that at least one side sees the
-    // other (no thread is left parked with the mutex free).
-    bit_.store(0, std::memory_order_seq_cst);
-    TAOS_CHAOS(kMutexReleaseWindow);
-    if (queue_len_.load(std::memory_order_seq_cst) > 0) {
-      NubRelease();
-    } else {
-      obs::Inc(obs::Counter::kFastMutexRelease);
-    }
-  });
+void Mutex::ReleaseSlow(ThreadRecord* self) {
+  obs::ScopedEvent ev(obs::Op::kRelease, id_);
+  if (!Nub::Get().tracing()) {
+    ReleaseInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubRelease);
+  TracedRelease(self);
 }
 
 void Mutex::NubRelease() {

@@ -9,8 +9,9 @@
 //     REQUIRES m = SELF  MODIFIES AT MOST [m]  ENSURES mpost = NIL
 //
 // Implementation (faithful to the paper's): a mutex is a pair
-// (Lock-bit, Queue). The user-code fast path is an inline test-and-set for
-// Acquire and a clear for Release; the Nub slow paths enqueue the caller /
+// (Lock-bit, Queue). The user-code fast path is compiled in line, in this
+// header: a test-and-set for Acquire and a clear for Release, one locked
+// operation each. The Nub slow paths, out of line, enqueue the caller /
 // unblock one queued thread under the global spin-lock. The design barges:
 // a releasing thread makes one queued thread ready, but any thread may win
 // the retried test-and-set first, so the spec deliberately does not say
@@ -34,7 +35,11 @@
 #include <cstdint>
 #include <functional>
 
+#include "src/base/chaos.h"
+#include "src/base/check.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/spec/action.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
@@ -52,11 +57,25 @@ class Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Acquire();
+  // In line. One test of the slow-mode byte (recorder or spec tracing on)
+  // sends the call to its out-of-line slow arm; otherwise it is the
+  // test-and-set, with the Nub entered only when the bit was already set.
+  void Acquire() {
+    if (obs::SlowMode()) [[unlikely]] {
+      AcquireSlow();
+      return;
+    }
+    AcquireInline();
+  }
 
   // Single attempt; returns true on success. (Not in the paper's interface,
   // but implied by the user-code fast path; handy for tests.)
-  bool TryAcquire();
+  bool TryAcquire() {
+    if (obs::SlowMode()) [[unlikely]] {
+      return TryAcquireSlow();
+    }
+    return TryAcquireInline();
+  }
 
   // Acquire with a deadline: kSatisfied with the mutex held, or kTimeout
   // (mutex not held) once `timeout` has elapsed. A zero or negative timeout
@@ -66,7 +85,17 @@ class Mutex {
   // kept, never converted into a timeout.
   WaitResult AcquireFor(std::chrono::nanoseconds timeout);
 
-  void Release();
+  void Release() {
+    ThreadRecord* self = Nub::Current();
+    // REQUIRES m = SELF. (Checked here as a library extension; the paper's
+    // implementation trusted the caller.)
+    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
+    if (obs::SlowMode()) [[unlikely]] {
+      ReleaseSlow(self);
+      return;
+    }
+    ReleaseInline();
+  }
 
   // The thread currently holding the mutex, or kNil. Racy; for debuggers and
   // tests only — the spec exposes no such query to clients.
@@ -76,18 +105,6 @@ class Mutex {
 
   spec::ObjId id() const { return id_; }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_acquires() const {
-    return fast_acquires_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_acquires() const {
-    return slow_acquires_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_acquires_.store(0, std::memory_order_relaxed);
-    slow_acquires_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   friend class Condition;
   friend class Timer;
@@ -95,9 +112,50 @@ class Mutex {
   friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
                                  std::chrono::nanoseconds timeout);
 
+  // The in-line bodies, shared by the fast path and the slow arms' untraced
+  // case (the recorder arm wraps the same body in a ScopedEvent).
+  void AcquireInline() {
+    ThreadRecord* self = Nub::Current();
+    if (bit_.exchange(1, std::memory_order_acquire) == 0) [[likely]] {
+      obs::Inc(obs::Counter::kFastMutexAcquire);
+    } else {
+      NubAcquire(self);
+    }
+    NoteAcquired(self);
+  }
+
+  bool TryAcquireInline() {
+    if (bit_.exchange(1, std::memory_order_acquire) != 0) {
+      return false;
+    }
+    obs::Inc(obs::Counter::kFastMutexAcquire);
+    NoteAcquired(Nub::Current());
+    return true;
+  }
+
+  // User code: clear the Lock-bit; call the Nub only if the Queue is
+  // non-empty. The seq_cst store/load pair pairs with the enqueue-then-test
+  // in NubAcquire so that at least one side sees the other (no thread is
+  // left parked with the mutex free).
+  void ReleaseInline() {
+    NoteReleased();
+    bit_.store(0, std::memory_order_seq_cst);
+    TAOS_CHAOS(kMutexReleaseWindow);
+    if (queue_len_.load(std::memory_order_seq_cst) > 0) [[unlikely]] {
+      NubRelease();
+    } else {
+      obs::Inc(obs::Counter::kFastMutexRelease);
+    }
+  }
+
+  // Slow arms (recorder on or spec tracing on), out of line.
+  [[gnu::noinline]] void AcquireSlow();
+  [[gnu::noinline]] bool TryAcquireSlow();
+  [[gnu::noinline]] void ReleaseSlow(ThreadRecord* self);
+
   // Nub subroutine for Acquire: enqueue, re-test the lock bit, de-schedule
   // if still held; retry the whole Acquire from the test-and-set.
-  void NubAcquire(ThreadRecord* self);
+  [[gnu::noinline]] void NubAcquire(ThreadRecord* self);
 
   // Deadline-carrying slow paths (AcquireFor). Each parked episode arms the
   // process timer wheel (src/threads/timer.h); the timer dequeues an expired
@@ -107,7 +165,7 @@ class Mutex {
   bool TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // Nub subroutine for Release: unblock one queued thread.
-  void NubRelease();
+  [[gnu::noinline]] void NubRelease();
 
   // Marks `self` as the holder (fast- and slow-path epilogue). The diag
   // owner stamp rides the same funnel: one predicted branch on the
@@ -157,9 +215,6 @@ class Mutex {
   IntrusiveQueue<ThreadRecord> queue_;
   std::atomic<spec::ThreadId> holder_{spec::kNil};
   spec::ObjId id_;
-
-  std::atomic<std::uint64_t> fast_acquires_{0};
-  std::atomic<std::uint64_t> slow_acquires_{0};
 };
 
 }  // namespace taos

@@ -8,8 +8,9 @@
 
 namespace taos {
 
+constinit thread_local ThreadRecord* Nub::current_ = nullptr;
+
 namespace {
-thread_local ThreadRecord* tls_record = nullptr;
 
 bool GlobalLockModeFromEnv() {
   const char* v = std::getenv("TAOS_NUB_GLOBAL_LOCK");
@@ -19,12 +20,6 @@ bool GlobalLockModeFromEnv() {
 
 Nub::Nub() {
   global_lock_mode_.store(GlobalLockModeFromEnv());
-}
-
-Nub& Nub::Get() {
-  static Nub* nub = new Nub();  // intentionally leaked; records must outlive
-                                // any late thread exit
-  return *nub;
 }
 
 void Nub::SetLockBackend(LockBackend b) {
@@ -53,15 +48,13 @@ ThreadRecord* Nub::CreateRecord() {
 }
 
 void Nub::AdoptRecord(ThreadRecord* rec) {
-  TAOS_CHECK(tls_record == nullptr || tls_record == rec);
-  tls_record = rec;
+  TAOS_CHECK(current_ == nullptr || current_ == rec);
+  current_ = rec;
 }
 
-ThreadRecord* Nub::Current() {
-  if (tls_record == nullptr) {
-    tls_record = CreateRecord();
-  }
-  return tls_record;
+ThreadRecord* Nub::RegisterCurrent() {
+  current_ = Get().CreateRecord();
+  return current_;
 }
 
 ThreadRecord* Nub::RecordFor(spec::ThreadId id) {

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "src/base/spinlock.h"
+#include "src/obs/recorder.h"
 #include "src/spec/trace.h"
 #include "src/threads/thread_record.h"
 
@@ -66,7 +67,13 @@ namespace taos {
 
 class Nub {
  public:
-  static Nub& Get();
+  // In line: a function-local static, so after the first call this is one
+  // predicted guard test and a load. The in-line fast paths never call it.
+  static Nub& Get() {
+    static Nub* const nub = new Nub();  // intentionally leaked; records must
+                                        // outlive any late thread exit
+    return *nub;
+  }
 
   Nub(const Nub&) = delete;
   Nub& operator=(const Nub&) = delete;
@@ -107,8 +114,16 @@ class Nub {
   // waits. Out of line: the timer gate lives above the base layer.
   void SetLockBackend(LockBackend b);
 
-  // The calling thread's record, registering it on first use.
-  ThreadRecord* Current();
+  // The calling thread's record, registering it on first use. In line and
+  // guard-free: a constinit thread_local load and a predicted null test,
+  // with registration out of line.
+  static ThreadRecord* Current() {
+    ThreadRecord* rec = current_;
+    if (rec == nullptr) [[unlikely]] {
+      rec = RegisterCurrent();
+    }
+    return rec;
+  }
 
   // Creates a record for a thread that has not started yet (Thread::Fork
   // allocates the child's record up front so the parent gets a handle
@@ -119,8 +134,11 @@ class Nub {
   ThreadRecord* RecordFor(spec::ThreadId id);
 
   // --- spec tracing ---
+  // Also flips the obs slow-mode bit, which is what sends the in-line fast
+  // paths to their traced arms.
   void SetTrace(spec::TraceSink* sink) {
     trace_.store(sink, std::memory_order_release);
+    obs::SetSlowModeBit(obs::kSlowSpecTrace, sink != nullptr);
   }
   spec::TraceSink* trace() const {
     return trace_.load(std::memory_order_acquire);
@@ -158,6 +176,11 @@ class Nub {
 
  private:
   Nub();
+
+  [[gnu::noinline]] static ThreadRecord* RegisterCurrent();
+
+  // The calling thread's record; null until Current() or AdoptRecord.
+  static constinit thread_local ThreadRecord* current_;
 
   SpinLock lock_;
   std::atomic<bool> global_lock_mode_{false};

@@ -40,6 +40,7 @@
 #ifndef TAOS_SRC_THREADS_POLL_H_
 #define TAOS_SRC_THREADS_POLL_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -68,7 +69,10 @@ class Poll {
   // All waits REQUIRE a non-empty wait set.
 
   // Blocks until some member is set; auto-reset members are consumed by the
-  // grant. Returns the granted member's index (Add order).
+  // grant. Returns the granted member's index (Add order). When several
+  // members are set, the scan starts just after the member this Poll last
+  // granted, so a member that stays set (a closed MessageQueue's
+  // readable()) cannot starve the others.
   std::size_t WaitAny();
 
   struct AnyResult {
@@ -105,12 +109,24 @@ class Poll {
   Outcome TracedWait(ThreadRecord* self, bool all, bool alertable, bool timed,
                      std::uint64_t deadline_ns);
   std::size_t ScanAny(PollNode* nodes);
+  // The member the k-th step of a WaitAny scan visits, and the record of a
+  // grant that moves the next scan's start past it.
+  std::size_t ScanIndex(std::size_t k) const {
+    const std::size_t i = scan_start_.load(std::memory_order_relaxed) + k;
+    return i < n_ ? i : i - n_;
+  }
+  void NoteGranted(std::size_t i) {
+    scan_start_.store(i + 1 < n_ ? i + 1 : 0, std::memory_order_relaxed);
+  }
   bool ScanAll(PollNode* nodes, spec::ObjId* first_unset);
   void DeregisterAll(PollNode* nodes);
   spec::ObjIdSet WaitSetIds() const;
 
   Event* events_[kMaxWait] = {};
   std::size_t n_ = 0;
+  // Where the next WaitAny scan starts; always < n_ once a member is added.
+  // Atomic only so concurrent waits on one Poll stay race-free.
+  std::atomic<std::size_t> scan_start_{0};
 };
 
 }  // namespace taos

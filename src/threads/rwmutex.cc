@@ -20,87 +20,97 @@ ReaderWriterMutex::~ReaderWriterMutex() {
   TAOS_CHECK(word_.load(std::memory_order_relaxed) == 0);
 }
 
-bool ReaderWriterMutex::SharedCasLoop() {
-  std::uint32_t w = word_.load(std::memory_order_relaxed);
-  while ((w & kWriterBit) == 0) {
-    if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
-                                    std::memory_order_relaxed)) {
-      // The reader-admission commit point: a writer's enqueue-then-test may
-      // be racing this CAS.
-      TAOS_CHAOS(kRwlockReaderCas);
-      return true;
-    }
-  }
-  return false;
-}
+// --- slow arms (recorder on or spec tracing on) ---
 
-// --- exclusive (writer) mode ---
-
-void ReaderWriterMutex::Acquire() {
-  obs::WithEvent(obs::Op::kAcquire, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubAcquire);
-      TracedAcquire(self);
-      return;
-    }
-    // User-code fast path: one CAS of 0 -> writer-bit when uncontended.
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastMutexAcquire);
-      NoteAcquired(self);
-      return;
-    }
-    NubAcquire(self);
-    NoteAcquired(self);
-  });
-}
-
-bool ReaderWriterMutex::TryAcquire() {
+void ReaderWriterMutex::AcquireSlow() {
+  obs::ScopedEvent ev(obs::Op::kAcquire, id_);
   Nub& nub = Nub::Get();
-  ThreadRecord* self = nub.Current();
-  if (nub.tracing()) {
-    NubGuard g(nub_lock_);
-    if (word_.load(std::memory_order_relaxed) != 0) {
-      return false;
-    }
-    word_.store(kWriterBit, std::memory_order_relaxed);
-    NoteAcquired(self);
-    nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
-    return true;
+  if (!nub.tracing()) {
+    AcquireInline();
+    return;
   }
-  std::uint32_t expected = 0;
-  if (word_.compare_exchange_strong(expected, kWriterBit,
-                                    std::memory_order_acquire,
-                                    std::memory_order_relaxed)) {
-    fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastMutexAcquire);
-    NoteAcquired(self);
-    return true;
-  }
-  return false;
+  obs::Inc(obs::Counter::kNubAcquire);
+  TracedAcquire(nub.Current());
 }
+
+bool ReaderWriterMutex::TryAcquireSlow() {
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    return TryAcquireInline();
+  }
+  ThreadRecord* self = nub.Current();
+  NubGuard g(nub_lock_);
+  if (word_.load(std::memory_order_relaxed) != 0) {
+    return false;
+  }
+  word_.store(kWriterBit, std::memory_order_relaxed);
+  NoteAcquired(self);
+  nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
+  return true;
+}
+
+void ReaderWriterMutex::ReleaseSlow(ThreadRecord* self) {
+  obs::ScopedEvent ev(obs::Op::kRelease, id_);
+  if (!Nub::Get().tracing()) {
+    ReleaseInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubRelease);
+  TracedRelease(self);
+}
+
+void ReaderWriterMutex::AcquireSharedSlow() {
+  obs::ScopedEvent ev(obs::Op::kAcquire, id_);
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    AcquireSharedInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubAcquire);
+  TracedAcquireShared(nub.Current());
+}
+
+bool ReaderWriterMutex::TryAcquireSharedSlow() {
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    return TryAcquireSharedInline();
+  }
+  ThreadRecord* self = nub.Current();
+  NubGuard g(nub_lock_);
+  const std::uint32_t w = word_.load(std::memory_order_relaxed);
+  if ((w & kWriterBit) != 0) {
+    return false;
+  }
+  word_.store(w + 1, std::memory_order_relaxed);
+  nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
+  return true;
+}
+
+void ReaderWriterMutex::ReleaseSharedSlow() {
+  obs::ScopedEvent ev(obs::Op::kRelease, id_);
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    ReleaseSharedInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubRelease);
+  TracedReleaseShared(nub.Current());
+}
+
+// --- timed acquisitions ---
 
 WaitResult ReaderWriterMutex::AcquireFor(std::chrono::nanoseconds timeout) {
   WaitResult result = WaitResult::kSatisfied;
   obs::WithEvent(obs::Op::kAcquire, id_, [&] {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
-    std::uint32_t expected = 0;
     if (nub.tracing()) {
       obs::Inc(obs::Counter::kNubAcquire);
       const std::uint64_t deadline =
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
       result = TracedAcquireFor(self, deadline) ? WaitResult::kSatisfied
                                                 : WaitResult::kTimeout;
-    } else if (word_.compare_exchange_strong(expected, kWriterBit,
-                                             std::memory_order_acquire,
-                                             std::memory_order_relaxed)) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
+    } else if (WriterCas()) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
       NoteAcquired(self);
     } else if (timeout.count() <= 0) {
@@ -117,74 +127,6 @@ WaitResult ReaderWriterMutex::AcquireFor(std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void ReaderWriterMutex::Release() {
-  obs::WithEvent(obs::Op::kRelease, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    // REQUIRES rw.writer = SELF (library extension; the spec trusts the
-    // caller, the implementation does not).
-    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubRelease);
-      TracedRelease(self);
-      return;
-    }
-    NoteReleased();
-    // User code: clear the word; call the Nub only if someone is queued.
-    // The seq_cst store/load pairs with the enqueue-then-test in the
-    // acquire slow paths (both reader and writer sides), so no waiter is
-    // left parked with the lock free.
-    word_.store(0, std::memory_order_seq_cst);
-    if (reader_q_len_.load(std::memory_order_seq_cst) > 0 ||
-        writer_q_len_.load(std::memory_order_seq_cst) > 0) {
-      NubReleaseExclusive();
-    } else {
-      obs::Inc(obs::Counter::kFastMutexRelease);
-    }
-  });
-}
-
-// --- shared (reader) mode ---
-
-void ReaderWriterMutex::AcquireShared() {
-  obs::WithEvent(obs::Op::kAcquire, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubAcquire);
-      TracedAcquireShared(self);
-      return;
-    }
-    if (SharedCasLoop()) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastMutexAcquire);
-      return;
-    }
-    NubAcquireShared(self);
-  });
-}
-
-bool ReaderWriterMutex::TryAcquireShared() {
-  Nub& nub = Nub::Get();
-  ThreadRecord* self = nub.Current();
-  if (nub.tracing()) {
-    NubGuard g(nub_lock_);
-    const std::uint32_t w = word_.load(std::memory_order_relaxed);
-    if ((w & kWriterBit) != 0) {
-      return false;
-    }
-    word_.store(w + 1, std::memory_order_relaxed);
-    nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
-    return true;
-  }
-  if (SharedCasLoop()) {
-    fast_acquires_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastMutexAcquire);
-    return true;
-  }
-  return false;
-}
-
 WaitResult ReaderWriterMutex::AcquireSharedFor(
     std::chrono::nanoseconds timeout) {
   WaitResult result = WaitResult::kSatisfied;
@@ -199,7 +141,6 @@ WaitResult ReaderWriterMutex::AcquireSharedFor(
                    ? WaitResult::kSatisfied
                    : WaitResult::kTimeout;
     } else if (SharedCasLoop()) {
-      fast_acquires_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastMutexAcquire);
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
@@ -215,42 +156,11 @@ WaitResult ReaderWriterMutex::AcquireSharedFor(
   return result;
 }
 
-void ReaderWriterMutex::ReleaseShared() {
-  obs::WithEvent(obs::Op::kRelease, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubRelease);
-      TracedReleaseShared(self);
-      return;
-    }
-    // REQUIRES SELF IN rw.readers: the word cannot show a writer and must
-    // count at least this reader (set membership proper is the trace
-    // checker's job; the count catches both misuse death-test shapes).
-    const std::uint32_t prev = word_.fetch_sub(1, std::memory_order_seq_cst);
-    TAOS_CHECK((prev & kWriterBit) == 0 && prev != 0);
-    if (prev == 1) {
-      // Last reader out: wake one queued writer. The seq_cst fetch_sub
-      // above against the writer's enqueue-then-test is the same Dekker
-      // pairing as Release's clear-then-scan.
-      TAOS_CHAOS(kRwlockLastReaderWake);
-      if (writer_q_len_.load(std::memory_order_seq_cst) > 0) {
-        NubWakeOneWriter();
-      } else {
-        obs::Inc(obs::Counter::kFastMutexRelease);
-      }
-    } else {
-      obs::Inc(obs::Counter::kFastMutexRelease);
-    }
-  });
-}
-
 // --- Nub (slow-path) subroutines, untimed ---
 
 void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -274,10 +184,7 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
     }
     // Retry the entire acquisition from the CAS; barging is possible
     // exactly as in Mutex.
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
+    if (WriterCas()) {
       return;
     }
     obs::Inc(obs::Counter::kLockBitRetries);
@@ -290,7 +197,6 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
 void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -328,7 +234,6 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
                                       std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;
@@ -357,10 +262,7 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
     const bool expired = parked && ConsumeTimeoutWoken(self);
     // CAS first, deadline second: a wake delivered because the lock was
     // released must never be thrown away on a co-incident expiry.
-    std::uint32_t expected = 0;
-    if (word_.compare_exchange_strong(expected, kWriterBit,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
+    if (WriterCas()) {
       return true;
     }
     obs::Inc(obs::Counter::kLockBitRetries);
@@ -377,7 +279,6 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
                                             std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_acquires_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
   for (;;) {
     bool parked = false;

@@ -47,7 +47,11 @@
 #include <chrono>
 #include <cstdint>
 
+#include "src/base/chaos.h"
+#include "src/base/check.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/spec/action.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
@@ -63,17 +67,64 @@ class ReaderWriterMutex {
   ReaderWriterMutex(const ReaderWriterMutex&) = delete;
   ReaderWriterMutex& operator=(const ReaderWriterMutex&) = delete;
 
+  // The untimed operations are in line, like Mutex's: one slow-mode test
+  // (recorder or spec tracing on), then the CAS or RMW on the word.
+
   // --- exclusive (writer) mode ---
-  void Acquire();
-  bool TryAcquire();
+  void Acquire() {
+    if (obs::SlowMode()) [[unlikely]] {
+      AcquireSlow();
+      return;
+    }
+    AcquireInline();
+  }
+
+  bool TryAcquire() {
+    if (obs::SlowMode()) [[unlikely]] {
+      return TryAcquireSlow();
+    }
+    return TryAcquireInline();
+  }
+
   WaitResult AcquireFor(std::chrono::nanoseconds timeout);
-  void Release();
+
+  void Release() {
+    ThreadRecord* self = Nub::Current();
+    // REQUIRES rw.writer = SELF (library extension; the spec trusts the
+    // caller, the implementation does not).
+    TAOS_CHECK(holder_.load(std::memory_order_relaxed) == self->id);
+    if (obs::SlowMode()) [[unlikely]] {
+      ReleaseSlow(self);
+      return;
+    }
+    ReleaseInline();
+  }
 
   // --- shared (reader) mode ---
-  void AcquireShared();
-  bool TryAcquireShared();
+  void AcquireShared() {
+    if (obs::SlowMode()) [[unlikely]] {
+      AcquireSharedSlow();
+      return;
+    }
+    AcquireSharedInline();
+  }
+
+  bool TryAcquireShared() {
+    if (obs::SlowMode()) [[unlikely]] {
+      return TryAcquireSharedSlow();
+    }
+    return TryAcquireSharedInline();
+  }
+
   WaitResult AcquireSharedFor(std::chrono::nanoseconds timeout);
-  void ReleaseShared();
+
+  void ReleaseShared() {
+    if (obs::SlowMode()) [[unlikely]] {
+      ReleaseSharedSlow();
+      return;
+    }
+    ReleaseSharedInline();
+  }
 
   // The exclusive holder, or kNil. Racy; for debuggers and tests only.
   spec::ThreadId HolderForDebug() const {
@@ -86,40 +137,127 @@ class ReaderWriterMutex {
 
   spec::ObjId id() const { return id_; }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_acquires() const {
-    return fast_acquires_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_acquires() const {
-    return slow_acquires_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_acquires_.store(0, std::memory_order_relaxed);
-    slow_acquires_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   friend class Timer;
 
   static constexpr std::uint32_t kWriterBit = 1u << 31;
 
+  // The writer fast path: one CAS of 0 -> writer-bit.
+  bool WriterCas() {
+    std::uint32_t expected = 0;
+    return word_.compare_exchange_strong(expected, kWriterBit,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed);
+  }
+
   // The reader fast path: CAS-increment while the writer bit is clear.
   // Returns false once it observes the writer bit (never blocks).
-  bool SharedCasLoop();
+  bool SharedCasLoop() {
+    std::uint32_t w = word_.load(std::memory_order_relaxed);
+    while ((w & kWriterBit) == 0) {
+      if (word_.compare_exchange_weak(w, w + 1, std::memory_order_acquire,
+                                      std::memory_order_relaxed)) {
+        // The reader-admission commit point: a writer's enqueue-then-test
+        // may be racing this CAS.
+        TAOS_CHAOS(kRwlockReaderCas);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // The in-line bodies, shared by the fast path and the slow arms' untraced
+  // case.
+  void AcquireInline() {
+    ThreadRecord* self = Nub::Current();
+    if (WriterCas()) [[likely]] {
+      obs::Inc(obs::Counter::kFastMutexAcquire);
+    } else {
+      NubAcquire(self);
+    }
+    NoteAcquired(self);
+  }
+
+  bool TryAcquireInline() {
+    if (!WriterCas()) {
+      return false;
+    }
+    obs::Inc(obs::Counter::kFastMutexAcquire);
+    NoteAcquired(Nub::Current());
+    return true;
+  }
+
+  // User code: clear the word; call the Nub only if someone is queued. The
+  // seq_cst store/load pairs with the enqueue-then-test in the acquire slow
+  // paths (both reader and writer sides), so no waiter is left parked with
+  // the lock free.
+  void ReleaseInline() {
+    NoteReleased();
+    word_.store(0, std::memory_order_seq_cst);
+    if (reader_q_len_.load(std::memory_order_seq_cst) > 0 ||
+        writer_q_len_.load(std::memory_order_seq_cst) > 0) [[unlikely]] {
+      NubReleaseExclusive();
+    } else {
+      obs::Inc(obs::Counter::kFastMutexRelease);
+    }
+  }
+
+  void AcquireSharedInline() {
+    if (SharedCasLoop()) [[likely]] {
+      obs::Inc(obs::Counter::kFastMutexAcquire);
+      return;
+    }
+    NubAcquireShared(Nub::Current());
+  }
+
+  bool TryAcquireSharedInline() {
+    if (!SharedCasLoop()) {
+      return false;
+    }
+    obs::Inc(obs::Counter::kFastMutexAcquire);
+    return true;
+  }
+
+  void ReleaseSharedInline() {
+    // REQUIRES SELF IN rw.readers: the word cannot show a writer and must
+    // count at least this reader (set membership proper is the trace
+    // checker's job; the count catches both misuse death-test shapes).
+    const std::uint32_t prev = word_.fetch_sub(1, std::memory_order_seq_cst);
+    TAOS_CHECK((prev & kWriterBit) == 0 && prev != 0);
+    if (prev == 1) {
+      // Last reader out: wake one queued writer. The seq_cst fetch_sub
+      // above against the writer's enqueue-then-test is the same Dekker
+      // pairing as Release's clear-then-scan.
+      TAOS_CHAOS(kRwlockLastReaderWake);
+      if (writer_q_len_.load(std::memory_order_seq_cst) > 0) [[unlikely]] {
+        NubWakeOneWriter();
+        return;
+      }
+    }
+    obs::Inc(obs::Counter::kFastMutexRelease);
+  }
+
+  // Slow arms (recorder on or spec tracing on), out of line.
+  [[gnu::noinline]] void AcquireSlow();
+  [[gnu::noinline]] bool TryAcquireSlow();
+  [[gnu::noinline]] void ReleaseSlow(ThreadRecord* self);
+  [[gnu::noinline]] void AcquireSharedSlow();
+  [[gnu::noinline]] bool TryAcquireSharedSlow();
+  [[gnu::noinline]] void ReleaseSharedSlow();
 
   // Nub subroutines: enqueue on the respective queue, re-test the word,
   // de-schedule if still excluded; retry the whole acquisition from the
   // CAS. Untimed and timed — the same shapes as Mutex, over two queues.
-  void NubAcquire(ThreadRecord* self);
-  void NubAcquireShared(ThreadRecord* self);
+  [[gnu::noinline]] void NubAcquire(ThreadRecord* self);
+  [[gnu::noinline]] void NubAcquireShared(ThreadRecord* self);
   bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
   bool NubAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // Release-side Nub subroutines. An exclusive release drains the reader
   // queue and unblocks one writer; the last shared release unblocks one
   // writer. Unparks happen after the ObjLock is dropped.
-  void NubReleaseExclusive();
-  void NubWakeOneWriter();
+  [[gnu::noinline]] void NubReleaseExclusive();
+  [[gnu::noinline]] void NubWakeOneWriter();
 
   // Exclusive-acquire epilogue; owner stamps mirror Mutex::NoteAcquired.
   // Shared holders are deliberately NOT stamped: a reader-held rwmutex has
@@ -154,8 +292,8 @@ class ReaderWriterMutex {
   // Writer bit | 31-bit reader count.
   std::atomic<std::uint32_t> word_{0};
   // The length mirrors sit on word_'s cache line: a release's "anyone
-  // queued?" load then reads the line its own RMW just took, not one the
-  // fast_acquires_ counter keeps bouncing between cores.
+  // queued?" load then reads the line its own RMW just took, not a second
+  // line that other cores' writes keep bouncing.
   std::atomic<std::int32_t> reader_q_len_{0};
   std::atomic<std::int32_t> writer_q_len_{0};
   ObjLock nub_lock_;  // guards both queues (the slow paths)
@@ -163,9 +301,6 @@ class ReaderWriterMutex {
   IntrusiveQueue<ThreadRecord> writers_queue_;
   std::atomic<spec::ThreadId> holder_{spec::kNil};
   spec::ObjId id_;
-
-  std::atomic<std::uint64_t> fast_acquires_{0};
-  std::atomic<std::uint64_t> slow_acquires_{0};
 };
 
 // RAII brackets, mirroring Lock (threads.h) for the two modes.

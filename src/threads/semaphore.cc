@@ -16,42 +16,30 @@ Semaphore::~Semaphore() {
   TAOS_CHECK(queue_.Empty());
 }
 
-void Semaphore::P() {
-  obs::WithEvent(obs::Op::kP, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubP);
-      TracedP(self);
-      return;
-    }
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      fast_ps_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kFastSemP);
-      return;
-    }
-    NubP(self);
-  });
+void Semaphore::PSlow() {
+  obs::ScopedEvent ev(obs::Op::kP, id_);
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    PInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubP);
+  TracedP(nub.Current());
 }
 
-bool Semaphore::TryP() {
+bool Semaphore::TryPSlow() {
   Nub& nub = Nub::Get();
-  if (nub.tracing()) {
-    ThreadRecord* self = nub.Current();
-    NubGuard g(nub_lock_);
-    if (bit_.load(std::memory_order_relaxed) != 0) {
-      return false;
-    }
-    bit_.store(1, std::memory_order_relaxed);
-    nub.EmitTraced(spec::MakeP(self->id, id_));
-    return true;
+  if (!nub.tracing()) {
+    return TryPInline();
   }
-  if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-    fast_ps_.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(obs::Counter::kFastSemP);
-    return true;
+  ThreadRecord* self = nub.Current();
+  NubGuard g(nub_lock_);
+  if (bit_.load(std::memory_order_relaxed) != 0) {
+    return false;
   }
-  return false;
+  bit_.store(1, std::memory_order_relaxed);
+  nub.EmitTraced(spec::MakeP(self->id, id_));
+  return true;
 }
 
 WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
@@ -68,7 +56,6 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
     } else if (bit_.exchange(1, std::memory_order_acquire) == 0) {
       // Fast path tried even with an expired deadline: PFor(0) is TryP with
       // a WaitResult.
-      fast_ps_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kFastSemP);
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
@@ -85,7 +72,6 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
 void Semaphore::NubP(ThreadRecord* self) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubP);
   for (;;) {
     bool parked = false;
@@ -121,7 +107,6 @@ void Semaphore::NubP(ThreadRecord* self) {
 bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  slow_ps_.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubP);
   for (;;) {
     bool parked = false;
@@ -166,22 +151,15 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
   }
 }
 
-void Semaphore::V() {
-  obs::WithEvent(obs::Op::kV, id_, [&] {
-    Nub& nub = Nub::Get();
-    if (nub.tracing()) {
-      obs::Inc(obs::Counter::kNubV);
-      TracedV(nub.Current());
-      return;
-    }
-    bit_.store(0, std::memory_order_seq_cst);
-    TAOS_CHAOS(kSemReleaseWindow);
-    if (queue_len_.load(std::memory_order_seq_cst) > 0) {
-      NubV();
-    } else {
-      obs::Inc(obs::Counter::kFastSemV);
-    }
-  });
+void Semaphore::VSlow() {
+  obs::ScopedEvent ev(obs::Op::kV, id_);
+  Nub& nub = Nub::Get();
+  if (!nub.tracing()) {
+    VInline();
+    return;
+  }
+  obs::Inc(obs::Counter::kNubV);
+  TracedV(nub.Current());
 }
 
 void Semaphore::NubV() {

@@ -22,7 +22,10 @@
 #include <chrono>
 #include <cstdint>
 
+#include "src/base/chaos.h"
 #include "src/base/intrusive_queue.h"
+#include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/spec/state.h"
 #include "src/threads/nub.h"
 #include "src/threads/thread_record.h"
@@ -38,11 +41,23 @@ class Semaphore {
   Semaphore& operator=(const Semaphore&) = delete;
 
   // Blocks until the semaphore is available, then atomically makes it
-  // unavailable.
-  void P();
+  // unavailable. In line, like Mutex::Acquire: one slow-mode test, then
+  // the test-and-set.
+  void P() {
+    if (obs::SlowMode()) [[unlikely]] {
+      PSlow();
+      return;
+    }
+    PInline();
+  }
 
   // Single attempt; returns true if the semaphore was taken.
-  bool TryP();
+  bool TryP() {
+    if (obs::SlowMode()) [[unlikely]] {
+      return TryPSlow();
+    }
+    return TryPInline();
+  }
 
   // P with a deadline: kSatisfied with the semaphore taken, or kTimeout
   // (not taken) once `timeout` has elapsed. A zero or negative timeout
@@ -53,7 +68,13 @@ class Semaphore {
 
   // Makes the semaphore available. Safe to call from any thread — including
   // one acting as an interrupt routine — with no precondition.
-  void V();
+  void V() {
+    if (obs::SlowMode()) [[unlikely]] {
+      VSlow();
+      return;
+    }
+    VInline();
+  }
 
   spec::ObjId id() const { return id_; }
 
@@ -62,25 +83,48 @@ class Semaphore {
     return bit_.load(std::memory_order_relaxed) == 0;
   }
 
-  // --- statistics (relaxed counters) ---
-  std::uint64_t fast_ps() const {
-    return fast_ps_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t slow_ps() const {
-    return slow_ps_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    fast_ps_.store(0, std::memory_order_relaxed);
-    slow_ps_.store(0, std::memory_order_relaxed);
-  }
-
  private:
   friend class Timer;
   friend void Alert(ThreadHandle t);
   friend void AlertP(Semaphore& s);
 
-  void NubP(ThreadRecord* self);
-  void NubV();
+  // The in-line bodies, shared by the fast path and the slow arms' untraced
+  // case.
+  void PInline() {
+    if (bit_.exchange(1, std::memory_order_acquire) == 0) [[likely]] {
+      obs::Inc(obs::Counter::kFastSemP);
+      return;
+    }
+    NubP(Nub::Current());
+  }
+
+  bool TryPInline() {
+    if (bit_.exchange(1, std::memory_order_acquire) != 0) {
+      return false;
+    }
+    obs::Inc(obs::Counter::kFastSemP);
+    return true;
+  }
+
+  // The seq_cst store/load pairs with NubP's enqueue-then-test, as in
+  // Mutex::ReleaseInline.
+  void VInline() {
+    bit_.store(0, std::memory_order_seq_cst);
+    TAOS_CHAOS(kSemReleaseWindow);
+    if (queue_len_.load(std::memory_order_seq_cst) > 0) [[unlikely]] {
+      NubV();
+    } else {
+      obs::Inc(obs::Counter::kFastSemV);
+    }
+  }
+
+  // Slow arms (recorder on or spec tracing on), out of line.
+  [[gnu::noinline]] void PSlow();
+  [[gnu::noinline]] bool TryPSlow();
+  [[gnu::noinline]] void VSlow();
+
+  [[gnu::noinline]] void NubP(ThreadRecord* self);
+  [[gnu::noinline]] void NubV();
   void TracedP(ThreadRecord* self);
   void TracedV(ThreadRecord* self);
 
@@ -94,9 +138,6 @@ class Semaphore {
   ObjLock nub_lock_;                    // guards queue_ (the slow paths)
   IntrusiveQueue<ThreadRecord> queue_;
   spec::ObjId id_;
-
-  std::atomic<std::uint64_t> fast_ps_{0};
-  std::atomic<std::uint64_t> slow_ps_{0};
 };
 
 }  // namespace taos

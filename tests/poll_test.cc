@@ -635,6 +635,58 @@ TEST(MessageQueueTest, FanInReceiverViaWaitAny) {
   EXPECT_EQ(sum.load(), expected);
 }
 
+TEST(PollTest, WaitAnyRotatesPastTheLastGrantedMember) {
+  // Two manual members that both stay set: successive grants alternate,
+  // because each scan starts just after the member granted last.
+  Event a;
+  Event b;
+  Poll p;
+  p.Add(a);
+  p.Add(b);
+  a.Set();
+  b.Set();
+  EXPECT_EQ(p.WaitAny(), 0u);
+  EXPECT_EQ(p.WaitAny(), 1u);
+  EXPECT_EQ(p.WaitAny(), 0u);
+  EXPECT_EQ(p.WaitAnyFor(0ms).index, 1u);
+}
+
+TEST(MessageQueueTest, ClosedMemberDoesNotStarveALiveOne) {
+  // A closed queue's readable() stays set for good. With it at index 0, a
+  // WaitAny receiver must still reach the live queue at index 1 and take
+  // every message its producer sends.
+  MessageQueue<int> closed_q(4);
+  closed_q.Close();
+  MessageQueue<int> live(2);
+  constexpr int kMessages = 200;
+  std::atomic<int> sent{0};
+  Thread producer = Thread::Fork([&] {
+    for (int i = 1; i <= kMessages; ++i) {
+      if (live.Send(i) != QueueResult::kOk) {
+        return;
+      }
+      sent.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  Poll p;
+  p.Add(closed_q.readable());
+  p.Add(live.readable());
+  int received = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (received < kMessages && std::chrono::steady_clock::now() < deadline) {
+    const Poll::AnyResult r = p.WaitAnyFor(1s);
+    int v;
+    if (r.result == WaitResult::kSatisfied && r.index == 1 &&
+        live.TryRecv(&v) == QueueResult::kOk) {
+      ++received;
+    }
+  }
+  live.Close();  // frees the producer if the receiver fell behind
+  producer.Join();
+  EXPECT_EQ(received, kMessages);
+  EXPECT_EQ(sent.load(), kMessages);
+}
+
 TEST(MessageQueueTest, MpmcConservesItems) {
   MessageQueue<int> q(8);
   constexpr int kProducers = 3;

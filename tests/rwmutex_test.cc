@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 #include "src/workload/rwlock.h"
 
@@ -212,13 +213,16 @@ TEST(RwMutexTest, TimedGrantRacingDeadlineIsKept) {
 
 TEST(RwMutexTest, StatsSplitFastFromSlow) {
   ReaderWriterMutex rw;
-  rw.ResetStats();
+  const obs::Stats before = obs::Snapshot();
+  auto delta = [&](obs::Counter k) {
+    return obs::Snapshot().Count(k) - before.Count(k);
+  };
   rw.AcquireShared();
   rw.ReleaseShared();
   rw.Acquire();
   rw.Release();
-  EXPECT_EQ(rw.fast_acquires(), 2u);
-  EXPECT_EQ(rw.slow_acquires(), 0u);
+  EXPECT_EQ(delta(obs::Counter::kFastMutexAcquire), 2u);
+  EXPECT_EQ(delta(obs::Counter::kNubAcquire), 0u);
 
   rw.Acquire();
   Thread waiter = Thread::Fork([&] {
@@ -228,7 +232,7 @@ TEST(RwMutexTest, StatsSplitFastFromSlow) {
   AwaitParked(waiter);
   rw.Release();
   waiter.Join();
-  EXPECT_GE(rw.slow_acquires(), 1u);
+  EXPECT_GE(delta(obs::Counter::kNubAcquire), 1u);
 }
 
 // The workload harness over the real primitive: the reader/writer invariant

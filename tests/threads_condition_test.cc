@@ -10,19 +10,26 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+
 namespace taos {
 namespace {
 
 TEST(ConditionTest, SignalWithNoWaitersAvoidsTheNub) {
   Condition c;
+  const obs::Stats before = obs::Snapshot();
   const std::uint64_t nub_before =
       Nub::Get().nub_entries.load(std::memory_order_relaxed);
   for (int i = 0; i < 100; ++i) {
     c.Signal();
     c.Broadcast();
   }
-  EXPECT_EQ(c.fast_signals(), 200u);
-  EXPECT_EQ(c.nub_signals(), 0u);
+  const obs::Stats after = obs::Snapshot();
+  auto delta = [&](obs::Counter k) { return after.Count(k) - before.Count(k); };
+  EXPECT_EQ(delta(obs::Counter::kFastSignal), 100u);
+  EXPECT_EQ(delta(obs::Counter::kFastBroadcast), 100u);
+  EXPECT_EQ(delta(obs::Counter::kNubSignal), 0u);
+  EXPECT_EQ(delta(obs::Counter::kNubBroadcast), 0u);
   EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
             nub_before);
 }

@@ -4,9 +4,12 @@
 #include "src/threads/threads.h"
 
 #include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/obs/metrics.h"
 
 namespace taos {
 namespace {
@@ -21,15 +24,17 @@ TEST(MutexTest, AcquireReleaseSingleThread) {
 
 TEST(MutexTest, UncontendedPairStaysOnFastPath) {
   Mutex m;
-  m.ResetStats();
+  const obs::Stats before = obs::Snapshot();
   const std::uint64_t nub_before =
       Nub::Get().nub_entries.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     m.Acquire();
     m.Release();
   }
-  EXPECT_EQ(m.fast_acquires(), 1000u);
-  EXPECT_EQ(m.slow_acquires(), 0u);
+  const obs::Stats after = obs::Snapshot();
+  auto delta = [&](obs::Counter k) { return after.Count(k) - before.Count(k); };
+  EXPECT_EQ(delta(obs::Counter::kFastMutexAcquire), 1000u);
+  EXPECT_EQ(delta(obs::Counter::kNubAcquire), 0u);
   // E1: with no contention, neither Acquire nor Release enters the Nub.
   EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
             nub_before);

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+
 namespace taos {
 namespace {
 
@@ -44,15 +46,17 @@ TEST(SemaphoreTest, VIsIdempotentOnAvailable) {
 
 TEST(SemaphoreTest, UncontendedPVStaysOnFastPath) {
   Semaphore s;
-  s.ResetStats();
+  const obs::Stats before = obs::Snapshot();
   const std::uint64_t nub_before =
       Nub::Get().nub_entries.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     s.P();
     s.V();
   }
-  EXPECT_EQ(s.fast_ps(), 1000u);
-  EXPECT_EQ(s.slow_ps(), 0u);
+  const obs::Stats after = obs::Snapshot();
+  auto delta = [&](obs::Counter k) { return after.Count(k) - before.Count(k); };
+  EXPECT_EQ(delta(obs::Counter::kFastSemP), 1000u);
+  EXPECT_EQ(delta(obs::Counter::kNubP), 0u);
   EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
             nub_before);
 }

@@ -10,8 +10,9 @@
 //
 // Each iteration moves `items` values end to end; items/sec (wall) is
 // reported, plus a single-threaded WaitAny fast-path entry (member already
-// set — no registration, no park) that is meaningful on any host. Emits
-// BENCH_poll.json.
+// set — no registration, no park) that is meaningful on any host. An Event
+// ping-pong at 2 and 8 pairs (4 and 16 threads) shows the rendezvous spin
+// with fewer and with more threads than cores. Emits BENCH_poll.json.
 //
 // Honesty rules match bench_locks (E31): every entry records num_cpus, and
 // entries whose claim is about concurrent handoff REFUSE to report on a
@@ -191,6 +192,68 @@ void FanInBench(benchmark::State& state, bool waitany) {
 void BM_FanInWaitAny(benchmark::State& state) { FanInBench(state, true); }
 void BM_FanInDedicated(benchmark::State& state) { FanInBench(state, false); }
 
+// Event ping-pong: `pairs` pairs of threads bounce a pulse through two
+// auto-reset Events, kRoundTrips round trips per pair. Every Wait is a
+// rendezvous that spins briefly on its permit before sleeping; at 8 pairs
+// (16 threads) on a 4-CPU host the waiters outnumber the cores, which is
+// the row that shows whether the bounded spin holds up oversubscribed.
+constexpr int kRoundTrips = 2000;
+
+std::uint64_t RunPingPong(int pairs) {
+  std::vector<std::unique_ptr<Event>> pings;
+  std::vector<std::unique_ptr<Event>> pongs;
+  for (int p = 0; p < pairs; ++p) {
+    pings.push_back(std::make_unique<Event>(EventReset::kAuto));
+    pongs.push_back(std::make_unique<Event>(EventReset::kAuto));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<Thread> threads;
+  for (int p = 0; p < pairs; ++p) {
+    Event& ping = *pings[p];
+    Event& pong = *pongs[p];
+    threads.push_back(Thread::Fork([&ping, &pong] {
+      for (int i = 0; i < kRoundTrips; ++i) {
+        ping.Set();
+        pong.Wait();
+      }
+    }));
+    threads.push_back(Thread::Fork([&ping, &pong] {
+      for (int i = 0; i < kRoundTrips; ++i) {
+        ping.Wait();
+        pong.Set();
+      }
+    }));
+  }
+  for (Thread& t : threads) {
+    t.Join();
+  }
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+void BM_EventPingPong(benchmark::State& state) {
+  if (RefuseContendedOn1Cpu(state)) {
+    for (auto _ : state) {
+    }
+    return;
+  }
+  const int pairs = static_cast<int>(state.range(0));
+  std::uint64_t nanos_total = 0;
+  std::uint64_t trips_total = 0;
+  for (auto _ : state) {
+    nanos_total += RunPingPong(pairs);
+    trips_total += static_cast<std::uint64_t>(pairs) * kRoundTrips;
+  }
+  state.counters["round_trip_ns_wall"] =
+      trips_total == 0 ? 0.0
+                       : static_cast<double>(nanos_total) *
+                             static_cast<double>(pairs) /
+                             static_cast<double>(trips_total);
+  state.counters["threads"] = 2.0 * pairs;
+}
+
 // Single-threaded WaitAny with a member already set: no registration, no
 // park — the scan-and-consume path alone. Valid on any core count (nothing
 // contends), so it still reports on the 1-CPU CI host.
@@ -235,6 +298,12 @@ BENCHMARK(BM_FanInDedicated)
     ->Args({2, 2})
     ->Args({4, 4})
     ->Args({8, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+// {pairs}: 4 and 16 threads.
+BENCHMARK(BM_EventPingPong)
+    ->Arg(2)
+    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_WaitAnyFastPath);

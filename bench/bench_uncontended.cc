@@ -6,7 +6,7 @@
 //   AcquireRelease      the user-code pair, no contention (never enters Nub)
 //   LockClause          the LOCK sugar (RAII guard)
 //   TryAcquireRelease   the single-attempt variant
-//   StdMutexPair        std::mutex baseline
+//   StdMutexPair        std::mutex baseline (multi-threaded process)
 //   RawSpinLockPair     the Nub's own spin-lock bit, for the floor
 //   TicketLockPair      FIFO ticket lock baseline
 //
@@ -16,7 +16,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <condition_variable>
 #include <mutex>
+#include <thread>
 
 #include "src/base/spinlock.h"
 #include "src/baseline/ticket_lock.h"
@@ -72,12 +74,29 @@ void BM_TryAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_TryAcquireRelease);
 
+// glibc's pthread_mutex_lock skips its atomic operations while the process
+// has one thread, which would make this row a floor no threads library can
+// meet. An idle second thread, alive for the whole row, puts it on the
+// atomic path every multi-threaded program takes.
 void BM_StdMutexPair(benchmark::State& state) {
   std::mutex m;
+  std::mutex idle_mu;
+  std::condition_variable idle_cv;
+  bool done = false;
+  std::thread idle([&] {
+    std::unique_lock<std::mutex> lk(idle_mu);
+    idle_cv.wait(lk, [&] { return done; });
+  });
   for (auto _ : state) {
     m.lock();
     m.unlock();
   }
+  {
+    std::lock_guard<std::mutex> lk(idle_mu);
+    done = true;
+  }
+  idle_cv.notify_one();
+  idle.join();
 }
 BENCHMARK(BM_StdMutexPair);
 

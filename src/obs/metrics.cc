@@ -59,6 +59,7 @@ constexpr const char* kCounterNames[] = {
     "waitq_cancels",
     "park_futex_waits",
     "park_condvar_waits",
+    "park_spin_grants",
     "timers_armed",
     "timers_cancelled",
     "timers_expired",

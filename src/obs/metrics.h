@@ -79,6 +79,7 @@ enum class Counter : int {
   // --- parker backends (src/waitq/parker) ---
   kParkFutexWaits,    // FUTEX_WAIT calls (incl. re-checks after EAGAIN)
   kParkCondvarWaits,  // condition_variable::wait calls (incl. spurious)
+  kParkSpinGrants,    // permits caught by Park's pre-sleep spin (no sleep)
 
   // --- timer wheel and timed waits (src/threads/timer) ---
   kTimersArmed,          // deadlines inserted into the wheel

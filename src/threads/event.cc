@@ -124,7 +124,7 @@ void Event::NubWait(ThreadRecord* self) {
       }
     }
     if (parked) {
-      ParkBlocked(self);
+      ParkBlocked(self, /*spin=*/true);
     }
     if (TryConsume(std::memory_order_acquire)) {
       return;
@@ -159,7 +159,7 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     }
     if (parked) {
       Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
+      ParkBlocked(self, /*spin=*/true);
       Timer::Get().Cancel(self, gen);
     }
     const bool expired = parked && ConsumeTimeoutWoken(self);
@@ -321,7 +321,7 @@ void Event::TracedWait(ThreadRecord* self) {
       MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
                   &nub_lock_, /*alertable=*/false);
     }
-    ParkBlocked(self);
+    ParkBlocked(self, /*spin=*/true);
   }
 }
 
@@ -362,7 +362,7 @@ bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       PublishTimedLocked(self, gen);
     }
     Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
+    ParkBlocked(self, /*spin=*/true);
     Timer::Get().Cancel(self, gen);
     ConsumeTimeoutWoken(self);  // loop-top deadline check decides
   }

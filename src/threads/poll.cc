@@ -175,6 +175,18 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
   if (nub.tracing()) {
     return TracedWait(self, all, alertable, timed, deadline_ns);
   }
+  if (!all) {
+    // Fast path, the shape of Event::Wait's: a member that is already set
+    // is claimed lock-free, with no registration and no Nub entry. Tried
+    // before any deadline or alert test, as the full scan below is.
+    for (std::size_t k = 0; k < n_; ++k) {
+      const std::size_t i = ScanIndex(k);
+      if (events_[i]->TryConsume(std::memory_order_acquire)) {
+        NoteGranted(i);
+        return {WaitResult::kSatisfied, i};
+      }
+    }
+  }
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
 
   PollNode nodes[kMaxWait];
@@ -249,7 +261,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
       if (timed) {
         Timer::Get().Arm(self, gen, deadline_ns);
       }
-      ParkBlocked(self);
+      ParkBlocked(self, /*spin=*/true);
       if (timed) {
         Timer::Get().Cancel(self, gen);
         expired = ConsumeTimeoutWoken(self);
@@ -388,7 +400,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
       if (timed) {
         Timer::Get().Arm(self, gen, deadline_ns);
       }
-      ParkBlocked(self);
+      ParkBlocked(self, /*spin=*/true);
       if (timed) {
         Timer::Get().Cancel(self, gen);
         expired = ConsumeTimeoutWoken(self);

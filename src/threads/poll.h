@@ -19,7 +19,9 @@
 // the latch, registers on every member's pollable list, scans, and — if
 // nothing is ready and the latch is still 0 under its record lock — parks.
 // Event::Set notifies registrants by flipping the latch; the 0->1 winner
-// performs the record-lock unblock dance. Crucially Set is *notify-only*:
+// performs the record-lock unblock dance. Untraced WaitAny first makes one
+// lock-free claim pass over the members, as Event::Wait's fast path does,
+// and registers only if nothing is set. Crucially Set is *notify-only*:
 // it never consumes the event on the waiter's behalf, so
 //   - a notification that races a timeout or an Alert is benign (the waiter
 //     re-scans once and takes whichever outcome holds),

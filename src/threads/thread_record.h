@@ -221,14 +221,16 @@ inline bool ConsumeTimeoutWoken(ThreadRecord* t) {
 
 // "De-schedule this thread": park on the private parker, counting the
 // park and feeding the de-scheduled duration into the blocked-time
-// histogram. Every blocking site in src/threads goes through here.
-inline void ParkBlocked(ThreadRecord* t) {
+// histogram. Every blocking site in src/threads goes through here. `spin`
+// is for rendezvous waits only (Event, Poll): the parker polls its permit
+// briefly before sleeping. Lock waits leave it false (waitq/parker.h).
+inline void ParkBlocked(ThreadRecord* t, bool spin = false) {
   // The window between publishing the blocked edge and the deschedule: a
   // watchdog snapshot here sees a thread "blocked" that has not parked yet.
   TAOS_CHAOS(kDiagPublishToPark);
   t->parks.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t start = obs::NowNanos();
-  t->park.Park();
+  t->park.Park(spin);
   obs::Record(obs::Histogram::kBlockedNanos, obs::NowNanos() - start);
 }
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/base/chaos.h"
+#include "src/base/spinlock.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 
@@ -82,11 +83,14 @@ Parker::Backend Parker::DefaultBackend() {
   return backend;
 }
 
-void Parker::Park() {
+void Parker::Park(bool spin) {
   // Between the caller's last re-test and the deschedule: the wakeup-waiting
   // window the permit protocol exists for.
   TAOS_CHAOS(kParkerBeforePark);
   const std::uint64_t start = obs::NowNanos();
+  if (spin && SpinForPermit(start)) {
+    obs::Inc(obs::Counter::kParkSpinGrants);
+  }
   if (backend_ == Backend::kFutex) {
     FutexPark();
   } else {
@@ -112,6 +116,21 @@ bool Parker::ParkUntil(std::uint64_t deadline_ns) {
   }
   ConsumeWakeStamp(wake_flow_, wake_ns_);
   return true;
+}
+
+bool Parker::SpinForPermit(std::uint64_t start) const {
+  // The clock is read once per 16 beats: often enough to keep the bound
+  // within a fraction of a microsecond, rarely enough that the loop is
+  // mostly relaxed loads and pauses.
+  for (std::uint32_t i = 1;; ++i) {
+    if (state_.load(std::memory_order_relaxed) == kNotified) {
+      return true;
+    }
+    SpinLock::Pause();
+    if (i % 16 == 0 && obs::NowNanos() - start >= kSpinNanos) {
+      return false;
+    }
+  }
 }
 
 void Parker::Unpark() {

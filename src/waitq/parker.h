@@ -34,6 +34,17 @@
 //     the permit protocol must not depend on the lock being taken on both
 //     sides of every handoff.
 //
+// Spin before sleep (Park(/*spin=*/true)): the rendezvous waits (Event,
+// Poll) poll the permit word with relaxed loads for up to kSpinNanos before
+// taking the sleeping path, the competitive-spinning rule of spending about
+// one block/wake round trip before blocking. The spin only watches for
+// kNotified; the permit is still consumed by the same acquire CAS (futex)
+// or acquire load (condvar) as an unspun Park, so the fence argument above
+// is unchanged. A futex Unpark that lands during the spin finds kEmpty and
+// makes no FUTEX_WAKE. Lock waits (Mutex, Semaphore, Condition, RwMutex,
+// Alert) park without spinning: a sleeping lock waiter stays out of the
+// holder's way (DESIGN.md §10).
+//
 // Backend selection: the process default is futex on Linux, condvar
 // elsewhere, overridable with TAOS_WAITQ_PARKER=futex|condvar (read once);
 // individual parkers can pin a backend for A/B benches and tests.
@@ -64,8 +75,13 @@ class Parker {
 
   Backend backend() const { return backend_; }
 
-  // Consumes one permit, blocking until it is deposited.
-  void Park();
+  // How long Park(/*spin=*/true) polls the permit before sleeping: just
+  // above the measured park-to-wake round trip (EXPERIMENTS.md E33).
+  static constexpr std::uint64_t kSpinNanos = 20'000;
+
+  // Consumes one permit, blocking until it is deposited. With `spin`, first
+  // polls for it for up to kSpinNanos (see the header comment).
+  void Park(bool spin = false);
 
   // Consumes one permit if it is deposited before `deadline_ns` on the
   // obs::NowNanos() timeline. Returns true if a permit was consumed (even
@@ -96,6 +112,10 @@ class Parker {
   static constexpr std::uint32_t kNotified = 2;
 
   static Backend Resolve(Backend b);
+
+  // Polls state_ for kNotified until kSpinNanos past `start`. Returns true
+  // if the permit was seen; it is left in place for the backend to consume.
+  bool SpinForPermit(std::uint64_t start) const;
 
   void FutexPark();
   void FutexUnpark();

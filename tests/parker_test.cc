@@ -1,6 +1,6 @@
 // Unit tests for the Parker (src/waitq/parker.h): the one-permit
-// park/unpark discipline, timed parks and spurious-wakeup absorption, on
-// both backends.
+// park/unpark discipline, the pre-sleep spin, timed parks and
+// spurious-wakeup absorption, on both backends.
 
 #include "src/waitq/parker.h"
 
@@ -25,7 +25,14 @@ std::uint64_t Delta(const Stats& before, const Stats& after, Counter c) {
   return after.Count(c) - before.Count(c);
 }
 
-class ParkerBackendTest : public ::testing::TestWithParam<Parker::Backend> {};
+class ParkerBackendTest : public ::testing::TestWithParam<Parker::Backend> {
+ protected:
+  // The backend's sleep counter: it moves only when Park actually sleeps.
+  static Counter SleepCounter() {
+    return GetParam() == Parker::Backend::kFutex ? Counter::kParkFutexWaits
+                                                 : Counter::kParkCondvarWaits;
+  }
+};
 
 TEST_P(ParkerBackendTest, PermitDepositedBeforeParkIsConsumed) {
   Parker p(GetParam());
@@ -47,35 +54,47 @@ TEST_P(ParkerBackendTest, UnparkWakesParkedThread) {
   EXPECT_TRUE(woke.load(std::memory_order_acquire));
 }
 
-TEST_P(ParkerBackendTest, PingPongHandsOffRepeatedly) {
-  Parker ping(GetParam());
-  Parker pong(GetParam());
+// Hands a permit back and forth between two threads; returns how many of
+// the parks caught their permit while spinning.
+std::uint64_t PingPong(Parker::Backend backend, bool spin) {
+  Parker ping(backend);
+  Parker pong(backend);
   constexpr int kRounds = 10000;
+  const Stats before = Snapshot();
   std::thread t([&] {
     for (int i = 0; i < kRounds; ++i) {
-      ping.Park();
+      ping.Park(spin);
       pong.Unpark();
     }
   });
   for (int i = 0; i < kRounds; ++i) {
     ping.Unpark();
-    pong.Park();
+    pong.Park(spin);
   }
   t.join();
+  return Delta(before, Snapshot(), Counter::kParkSpinGrants);
+}
+
+// Plain Park is the lock waiters' park: it never spins, however quickly
+// the permit follows.
+TEST_P(ParkerBackendTest, PingPongHandsOffRepeatedly) {
+  EXPECT_EQ(PingPong(GetParam(), /*spin=*/false), 0u);
+}
+
+TEST_P(ParkerBackendTest, SpinningPingPongHandsOffRepeatedly) {
+  PingPong(GetParam(), /*spin=*/true);
 }
 
 // A spurious wakeup (the kernel or the C++ runtime waking the sleeper with
 // no permit deposited) must put the thread back to sleep, never let Park
 // return. SpuriousWakeForDebug pokes the underlying futex/condvar directly.
-TEST_P(ParkerBackendTest, SpuriousWakeupsDoNotForgeAPermit) {
-  Parker p(GetParam());
-  const Counter waits = GetParam() == Parker::Backend::kFutex
-                            ? Counter::kParkFutexWaits
-                            : Counter::kParkCondvarWaits;
+void ExpectSpuriousWakeupsAbsorbed(Parker::Backend backend, Counter waits,
+                                   bool spin) {
+  Parker p(backend);
   std::atomic<bool> returned{false};
   const Stats before = Snapshot();
   std::thread t([&] {
-    p.Park();
+    p.Park(spin);
     returned.store(true, std::memory_order_release);
   });
   // Keep injecting until the sleeper has demonstrably slept at least three
@@ -91,6 +110,87 @@ TEST_P(ParkerBackendTest, SpuriousWakeupsDoNotForgeAPermit) {
   p.Unpark();
   t.join();
   EXPECT_TRUE(returned.load(std::memory_order_acquire));
+}
+
+TEST_P(ParkerBackendTest, SpuriousWakeupsDoNotForgeAPermit) {
+  ExpectSpuriousWakeupsAbsorbed(GetParam(), SleepCounter(), /*spin=*/false);
+}
+
+// The pre-sleep spin ends in the same sleep loop, so a spurious wakeup
+// after it is absorbed the same way.
+TEST_P(ParkerBackendTest, SpuriousWakeupsAfterASpinDoNotForgeAPermit) {
+  ExpectSpuriousWakeupsAbsorbed(GetParam(), SleepCounter(), /*spin=*/true);
+}
+
+// A permit deposited while the parker spins is consumed without a sleep.
+// Whether a given Unpark lands inside the 20 us window is up to the host
+// scheduler (and slower under a sanitizer), so each round checks the
+// invariant (a caught permit means no sleep) and the test asks only that
+// some rounds caught one. One waiter thread runs every round, so thread
+// start-up stays out of the window.
+TEST_P(ParkerBackendTest, PermitDepositedDuringTheSpinIsConsumedWithoutSleep) {
+  Parker p(GetParam());
+  constexpr int kMaxRounds = 2000;
+  std::atomic<int> go{0};        // round the waiter may start
+  std::atomic<int> entering{0};  // round the waiter is about to park in
+  std::atomic<int> done{0};      // round the waiter has finished
+  std::thread waiter([&] {
+    for (int round = 1; round <= kMaxRounds; ++round) {
+      while (go.load(std::memory_order_acquire) < round) {
+      }
+      if (go.load(std::memory_order_acquire) > kMaxRounds) {
+        return;  // stopped early
+      }
+      entering.store(round, std::memory_order_release);
+      p.Park(/*spin=*/true);
+      done.store(round, std::memory_order_release);
+    }
+  });
+  int caught = 0;
+  int round = 1;
+  for (; round <= kMaxRounds && caught < 20; ++round) {
+    const Stats before = Snapshot();
+    go.store(round, std::memory_order_release);
+    while (entering.load(std::memory_order_acquire) < round) {
+    }
+    p.Unpark();
+    while (done.load(std::memory_order_acquire) < round) {
+    }
+    const Stats after = Snapshot();
+    if (Delta(before, after, Counter::kParkSpinGrants) == 1) {
+      ++caught;
+      EXPECT_EQ(Delta(before, after, SleepCounter()), 0u)
+          << "a permit caught by the spin must not be followed by a sleep";
+    }
+  }
+  if (round <= kMaxRounds) {
+    go.store(kMaxRounds + 1, std::memory_order_release);
+  }
+  waiter.join();
+  EXPECT_GT(caught, 0) << "no Unpark landed inside the spin in "
+                       << kMaxRounds << " rounds";
+}
+
+// An Unpark long after the spin gave up still wakes the sleeping parker.
+TEST_P(ParkerBackendTest, PermitDepositedAfterTheSpinWakesTheSleeper) {
+  Parker p(GetParam());
+  std::atomic<bool> returned{false};
+  const Stats before = Snapshot();
+  std::thread t([&] {
+    p.Park(/*spin=*/true);
+    returned.store(true, std::memory_order_release);
+  });
+  // Wait until the parker has demonstrably gone to sleep.
+  for (int i = 0; i < 10000 && Delta(before, Snapshot(), SleepCounter()) == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  ASSERT_GE(Delta(before, Snapshot(), SleepCounter()), 1u);
+  EXPECT_FALSE(returned.load(std::memory_order_acquire));
+  p.Unpark();
+  t.join();
+  EXPECT_TRUE(returned.load(std::memory_order_acquire));
+  EXPECT_EQ(Delta(before, Snapshot(), Counter::kParkSpinGrants), 0u);
 }
 
 // Same discipline on the timed path: spurious wakeups neither end the wait

@@ -177,6 +177,27 @@ TEST(PollTest, WaitAnyReturnsTheSetMemberWithoutBlocking) {
   EXPECT_FALSE(a.IsSet());
 }
 
+TEST(PollTest, WaitAnyOnASetMemberStaysOffTheNub) {
+  // The WaitAny fast path: a member already set is claimed lock-free, with
+  // no Nub entry and no registration on any member.
+  Event a(EventReset::kAuto);
+  Event b;  // manual: stays set across grants
+  Poll p;
+  p.Add(a);
+  p.Add(b);
+  b.Set();
+  const std::uint64_t nub_before =
+      Nub::Get().nub_entries.load(std::memory_order_relaxed);
+  const obs::Stats before = obs::Snapshot();
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(p.WaitAny(), 1u);
+  }
+  EXPECT_EQ(Nub::Get().nub_entries.load(std::memory_order_relaxed),
+            nub_before);
+  EXPECT_EQ(obs::Snapshot().Count(obs::Counter::kPollRegistrations),
+            before.Count(obs::Counter::kPollRegistrations));
+}
+
 TEST(PollTest, WaitAnyConsumesOnlyTheGrantedMember) {
   Event a(EventReset::kAuto);
   Event b(EventReset::kAuto);
@@ -633,6 +654,44 @@ TEST(MessageQueueTest, FanInReceiverViaWaitAny) {
   const std::int64_t expected =
       2 * (static_cast<std::int64_t>(kPerQueue) * (kPerQueue + 1) / 2);
   EXPECT_EQ(sum.load(), expected);
+}
+
+TEST(MessageQueueTest, RequestReplyPingPongThroughPoll) {
+  // The server shape in miniature: a client sends one request at a time and
+  // blocks on the reply; the server waits on the request queue and a
+  // shutdown event with WaitAny. Every wait is a rendezvous that parks (or
+  // catches its permit in the parker's pre-sleep spin), so this drives the
+  // spin's wake path 10k times in each direction and checks every reply.
+  MessageQueue<std::uint64_t> requests(1);
+  MessageQueue<std::uint64_t> replies(1);
+  Event shutdown;  // manual
+  constexpr std::uint64_t kRounds = 10000;
+  Thread server = Thread::Fork([&] {
+    Poll p;
+    p.Add(requests.readable());
+    p.Add(shutdown);
+    for (;;) {
+      if (p.WaitAny() == 1) {
+        return;
+      }
+      std::uint64_t v;
+      if (requests.TryRecv(&v) == QueueResult::kOk) {
+        ASSERT_EQ(replies.Send(v * 3 + 1), QueueResult::kOk);
+      }
+    }
+  });
+  std::uint64_t bad = 0;
+  for (std::uint64_t i = 0; i < kRounds; ++i) {
+    ASSERT_EQ(requests.Send(i), QueueResult::kOk);
+    std::uint64_t reply = 0;
+    ASSERT_EQ(replies.Recv(&reply), QueueResult::kOk);
+    bad += reply != i * 3 + 1;
+  }
+  shutdown.Set();
+  server.Join();
+  EXPECT_EQ(bad, 0u);
+  EXPECT_FALSE(requests.readable().IsSet());
+  EXPECT_FALSE(replies.readable().IsSet());
 }
 
 TEST(PollTest, WaitAnyRotatesPastTheLastGrantedMember) {

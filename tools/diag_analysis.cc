@@ -399,7 +399,7 @@ bool FormatBenchReport(const std::string& text, std::string* out,
     *out += "counters:";
     for (const char* key :
          {"handoffs", "spurious_wakeups", "wakeup_waiting_hits",
-          "park_futex_waits", "park_condvar_waits"}) {
+          "park_futex_waits", "park_condvar_waits", "park_spin_grants"}) {
       if (const Value* v = counters->Find(key); v != nullptr && v->IsNumber()) {
         AppendF(out, " %s=%.0f", key, v->number);
       }

@@ -22,7 +22,6 @@
 
 #include "src/base/spinlock.h"
 #include "src/baseline/ticket_lock.h"
-#include "src/obs/diag.h"
 #include "src/threads/threads.h"
 
 namespace {
@@ -40,21 +39,6 @@ void BM_AcquireRelease(benchmark::State& state) {
       nub_before);
 }
 BENCHMARK(BM_AcquireRelease);
-
-// The same pair with the contention-diagnosis registry actively stamping
-// owners (obs::diag::SetEnabled(true)): the A/B row for E32's parity claim.
-// BM_AcquireRelease above already carries the compiled-in-but-off cost —
-// one relaxed load and a predicted branch per transition.
-void BM_AcquireReleaseDiagOn(benchmark::State& state) {
-  taos::obs::diag::SetEnabled(true);
-  taos::Mutex m;
-  for (auto _ : state) {
-    m.Acquire();
-    m.Release();
-  }
-  taos::obs::diag::SetEnabled(false);
-}
-BENCHMARK(BM_AcquireReleaseDiagOn);
 
 void BM_LockClause(benchmark::State& state) {
   taos::Mutex m;

@@ -50,7 +50,7 @@ constexpr PointInfo kPoints[kNumPoints] = {
     {"rwlock.reader_cas", Category::kAfterCas},
     {"rwlock.last_reader_wake", Category::kBeforeUnpark},
     {"diag.publish_to_park", Category::kBeforePark},
-    {"diag.owner_stamp", Category::kAfterCas},
+    {"diag.destroy_drain", Category::kGeneric},
     {"diag.snapshot", Category::kGeneric},
     {"poll.register", Category::kAfterCas},
     {"poll.scan_to_park", Category::kBeforePark},

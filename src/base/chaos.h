@@ -95,8 +95,11 @@ enum class Point : std::uint32_t {
   // Contention-diagnosis seams (src/obs/diag).
   kDiagPublishToPark,    // blocked edge published, before the deschedule —
                          // a snapshot here sees "blocked" pre-park
-  kDiagOwnerStamp,       // acquire epilogue, before the owner-table stamp
-  kDiagSnapshot,         // inside SnapshotBlocked, racing the publishers
+  kDiagDestroyDrain,     // Mutex/RwMutex destructor, before waiting out the
+                         // snapshots that may still read its holder word
+  kDiagSnapshot,         // inside SnapshotBlocked, between the slot reads
+                         // and the owner reads, racing publishers and
+                         // destructors
   // Multi-object wait seams (src/threads/poll, src/threads/event).
   kPollRegister,         // registration installed, before the ready re-scan
   kPollScanToPark,       // scan found nothing, before the park episode

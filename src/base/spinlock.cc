@@ -163,11 +163,11 @@ void SpinLock::AcquireSlow() {
   obs::Add(obs::Counter::kSpinIterations, iters);
   obs::Record(obs::Histogram::kSpinIterationsPerAcquire, iters);
   obs::Record(obs::Histogram::kSpinAcquireNanos, now - start);
-  if (obs::diag::Enabled()) [[unlikely]] {
+  if (obs::RecorderEnabled()) [[unlikely]] {
     const std::uint64_t released =
         tas_release_ns_.load(std::memory_order_relaxed);
-    // Only meaningful if a diag-stamped release happened while we spun;
-    // a zero stamp means diag came on mid-spin or the holder released
+    // Only meaningful if a stamped release happened while we spun; a zero
+    // stamp means the recorder came on mid-spin or the holder released
     // before we started waiting.
     if (released >= start && now > released) {
       obs::Record(obs::Histogram::kLockHandoffNanos, now - released);

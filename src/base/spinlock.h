@@ -48,8 +48,8 @@
 #include <thread>
 
 #include "src/base/chaos.h"
-#include "src/obs/diag.h"
 #include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 
 namespace taos {
 
@@ -119,10 +119,9 @@ class SpinLock {
         // comparable across all three backends. The queue cores stamp
         // their successor's qnode for free at handoff; TAS has no
         // successor to address, so the stamp lives on the lock and the
-        // clock read is gated on the diag layer being on (one relaxed
-        // load and a predicted branch otherwise — the same fast-path
-        // budget as the recorder checks).
-        if (obs::diag::Enabled()) [[unlikely]] {
+        // clock read is gated on the flight recorder being on (one
+        // relaxed load and a predicted branch otherwise).
+        if (obs::RecorderEnabled()) [[unlikely]] {
           tas_release_ns_.store(obs::NowNanos(), std::memory_order_relaxed);
         }
         bit_.clear(std::memory_order_release);
@@ -198,7 +197,7 @@ class SpinLock {
   bool QueueTryAcquire();   // shared by MCS and CLH
 
   // TAS core state. tas_release_ns_ is the last releaser's NowNanos stamp
-  // (diag-enabled runs only): a contended AcquireSlow that wins the bit
+  // (recorder-on runs only): a contended AcquireSlow that wins the bit
   // reads it to approximate releaser-to-winner handoff latency. Unlike the
   // queue cores' per-qnode stamp it is shared by all spinners, so under
   // multi-waiter contention it measures the handoff to whichever waiter

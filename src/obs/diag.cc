@@ -11,14 +11,6 @@
 
 namespace taos::obs::diag {
 
-namespace internal {
-std::atomic<bool> g_diag_enabled{false};
-}  // namespace internal
-
-void SetEnabled(bool on) {
-  internal::g_diag_enabled.store(on, std::memory_order_relaxed);
-}
-
 const char* WaitKindName(WaitKind k) {
   switch (k) {
     case WaitKind::kNone:
@@ -58,31 +50,10 @@ std::vector<WaiterSlot*>& SlotRegistry() {
   return *v;
 }
 
-std::atomic<void (*)()> g_snapshot_probe{nullptr};
+std::atomic<SnapshotProbe> g_snapshot_probe{nullptr};
 
-// Owner table: open-addressed, fixed size, power of two. 4096 slots is two
-// orders of magnitude beyond any test or bench in this repo; on overflow a
-// stamp is silently dropped (OwnerOf then reports "unknown", which only
-// widens the watchdog's "no cycle provable" case — never a false positive).
-constexpr std::size_t kOwnerTableSize = 4096;
-
-struct OwnerCell {
-  std::atomic<std::uint64_t> obj{0};
-  std::atomic<std::uint64_t> owner{0};
-};
-
-OwnerCell* OwnerTable() {
-  static OwnerCell* t = new OwnerCell[kOwnerTableSize];
-  return t;
-}
-
-std::size_t OwnerHash(std::uint64_t obj) {
-  // Fibonacci hash; obj ids are small sequential integers.
-  return static_cast<std::size_t>((obj * 0x9E3779B97F4A7C15ULL) >> 52) &
-         (kOwnerTableSize - 1);
-}
-
-constexpr std::size_t kOwnerProbeLimit = 32;
+// SnapshotBlocked() calls in flight: the count DrainSnapshots() waits on.
+std::atomic<std::uint32_t> g_snapshots_in_flight{0};
 
 void AppendU64(std::string* out, std::uint64_t v) {
   char buf[24];
@@ -106,83 +77,33 @@ WaiterSlot* RegisterWaiterSlot(std::uint64_t tid) {
   return slot;
 }
 
-void StampOwner(std::uint64_t obj, std::uint64_t tid) {
-  OwnerCell* table = OwnerTable();
-  const std::size_t h = OwnerHash(obj);
-  for (std::size_t i = 0; i < kOwnerProbeLimit; ++i) {
-    OwnerCell& cell = table[(h + i) & (kOwnerTableSize - 1)];
-    std::uint64_t cur = cell.obj.load(std::memory_order_relaxed);
-    if (cur == obj) {
-      cell.owner.store(tid, std::memory_order_relaxed);
-      return;
-    }
-    if (cur == 0) {
-      std::uint64_t expected = 0;
-      if (cell.obj.compare_exchange_strong(expected, obj,
-                                           std::memory_order_relaxed)) {
-        cell.owner.store(tid, std::memory_order_relaxed);
-        return;
-      }
-      if (expected == obj) {  // lost the race to ourselves-by-id
-        cell.owner.store(tid, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
-  // Table section full: drop the stamp (best-effort; see header).
-}
-
-void ClearOwner(std::uint64_t obj) {
-  OwnerCell* table = OwnerTable();
-  const std::size_t h = OwnerHash(obj);
-  for (std::size_t i = 0; i < kOwnerProbeLimit; ++i) {
-    OwnerCell& cell = table[(h + i) & (kOwnerTableSize - 1)];
-    const std::uint64_t cur = cell.obj.load(std::memory_order_relaxed);
-    if (cur == obj) {
-      // Free the slot: owner first so a racing OwnerOf sees 0, then the
-      // key. ObjIds are never reused (Nub::NextObjId only counts up), so a
-      // freed slot can only be re-claimed by a DIFFERENT object — a racing
-      // stamp for this object targets whatever slot its probe finds, not a
-      // stale reincarnation of this one.
-      cell.owner.store(0, std::memory_order_relaxed);
-      cell.obj.store(0, std::memory_order_relaxed);
-      return;
-    }
-    if (cur == 0) {
-      // A concurrent stamp may still be probing past this empty cell;
-      // keep looking so release-after-stamp can't leak a stale owner.
-      continue;
-    }
+void DrainSnapshots() {
+  // Pairs with the RMW-then-fence in SnapshotBlocked: if this load misses a
+  // snapshot's increment, that snapshot's slot reads follow this fence in
+  // the seq_cst order and see the waker's clear, which happened before the
+  // destructor that called us.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  while (g_snapshots_in_flight.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
   }
 }
 
-std::uint64_t OwnerOf(std::uint64_t obj) {
-  OwnerCell* table = OwnerTable();
-  const std::size_t h = OwnerHash(obj);
-  for (std::size_t i = 0; i < kOwnerProbeLimit; ++i) {
-    OwnerCell& cell = table[(h + i) & (kOwnerTableSize - 1)];
-    const std::uint64_t cur = cell.obj.load(std::memory_order_relaxed);
-    if (cur == obj) {
-      return cell.owner.load(std::memory_order_relaxed);
-    }
-  }
-  return 0;
-}
-
-void SetSnapshotProbe(void (*probe)()) {
-  g_snapshot_probe.store(probe, std::memory_order_release);
+SnapshotProbe SetSnapshotProbe(SnapshotProbe probe) {
+  return g_snapshot_probe.exchange(probe, std::memory_order_acq_rel);
 }
 
 std::vector<BlockedEdge> SnapshotBlocked() {
-  if (void (*probe)() = g_snapshot_probe.load(std::memory_order_acquire)) {
-    probe();
-  }
   std::vector<WaiterSlot*> slots;
   {
     std::lock_guard<std::mutex> g(SlotRegistryLock());
     slots = SlotRegistry();
   }
+  // In flight from here: no object a slot names is destroyed before the
+  // owners are read (DrainSnapshots).
+  g_snapshots_in_flight.fetch_add(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   std::vector<BlockedEdge> edges;
+  std::vector<const std::atomic<std::uint32_t>*> holders;
   for (WaiterSlot* s : slots) {
     // Bounded seqlock read: a slot whose writer is mid-publication for the
     // whole retry window is skipped — that thread is actively transitioning,
@@ -198,17 +119,30 @@ std::vector<BlockedEdge> SnapshotBlocked() {
       e.alertable = s->alertable.load(std::memory_order_relaxed) != 0;
       e.obj = s->obj.load(std::memory_order_relaxed);
       e.since_ns = s->since_ns.load(std::memory_order_relaxed);
+      const std::atomic<std::uint32_t>* holder =
+          s->holder.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (s->seq.load(std::memory_order_relaxed) != seq0) {
         continue;
       }
       if (e.kind != WaitKind::kNone) {
-        e.owner = OwnerOf(e.obj);
         edges.push_back(e);
+        holders.push_back(holder);
       }
       break;
     }
   }
+  // The waiters may be granted and their objects released meanwhile; the
+  // objects themselves stay alive until this snapshot leaves flight.
+  if (SnapshotProbe probe = g_snapshot_probe.load(std::memory_order_acquire)) {
+    probe();
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (holders[i] != nullptr) {
+      edges[i].owner = holders[i]->load(std::memory_order_relaxed);
+    }
+  }
+  g_snapshots_in_flight.fetch_sub(1, std::memory_order_release);
   std::sort(edges.begin(), edges.end(),
             [](const BlockedEdge& a, const BlockedEdge& b) {
               return a.tid < b.tid;
@@ -384,7 +318,7 @@ void Watchdog::Scan() {
   std::vector<Cycle> cycles = FindCycles(edges);
 
   // Keep only cycles whose every member was blocked on the same object
-  // since the same instant one interval ago: survives the owner-table and
+  // since the same instant one interval ago: survives the handoff and
   // wake-in-flight transients a single snapshot can fabricate.
   std::vector<Cycle> confirmed;
   for (Cycle& c : cycles) {

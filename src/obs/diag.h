@@ -8,32 +8,35 @@
 // materializes the blocking relation itself:
 //
 //   - Every thread owns one WaiterSlot. The blocking slow paths publish
-//     BlockedOn{object id, wait kind, since_ns} into it right before
-//     de-scheduling and clear it on wake (src/threads/thread_record.h is
-//     the single funnel). Publication is seqlock-style: writers (serialized
-//     by the record's parking-lot lock) bump `seq` to odd, store the
-//     fields, bump to even; a reader that sees an odd or changing seq
+//     BlockedOn{object id, wait kind, since_ns, holder word} into it right
+//     before de-scheduling and clear it on wake (src/threads/thread_record.h
+//     is the single funnel). Publication is seqlock-style: writers
+//     (serialized by the record's parking-lot lock) bump `seq` to odd, store
+//     the fields, bump to even; a reader that sees an odd or changing seq
 //     retries or skips. All fields are relaxed atomics so the lock-free
 //     readers are exactly as racy as intended and no more (TSan-clean).
 //
-//   - An owner table maps object id -> holding thread for the primitives
-//     that have an owner (Mutex, ReaderWriterMutex writers). Stamped from
-//     the acquire epilogues behind the Enabled() gate, so the uncontended
-//     fast path pays one relaxed load and a predicted branch when
-//     diagnosis is off — the same budget discipline as the recorder.
+//   - Owners are read from the object itself. For the kinds that have one
+//     (Mutex; ReaderWriterMutex, whose shared and exclusive waiters both
+//     point at the writer word) the slot carries a pointer to the object's
+//     holder_ word, which the acquire and release epilogues store anyway.
+//     Diagnosis therefore adds nothing to the uncontended fast path and has
+//     no switch: owners are named in every process.
 //
-//   - SnapshotBlocked() + FindCycles() turn the two tables into the
+//   - SnapshotBlocked() + FindCycles() turn the slots into the
 //     thread -> object -> owner graph and its cycles; Watchdog runs them
 //     periodically from a background thread and dumps blocked edges, wait
 //     ages, recent flight-recorder events and (via hook) the chaos replay
 //     triple when a deadlock or stall is detected.
 //
-// Teardown safety (the Rule3Backoff lesson, DESIGN.md §14): the registry
-// stores only integers. A snapshot never dereferences a synchronization
-// object — the object named by a stale slot or owner stamp may already be
-// destroyed, and spec::ObjIds are never reused, so the worst a race can
-// produce is a report naming an object that just died, never a touch of
-// freed memory.
+// Lifetime (DESIGN.md §14): a snapshot dereferences the holder word of an
+// object some thread is blocked on, so it must never outlive that object.
+// Clients may not destroy an object while a thread is blocked on it, so the
+// waker has cleared the waiter's slot before the destructor runs. A snapshot
+// raises a global in-flight count before it reads any slot and lowers it
+// afterwards; the owner-bearing destructors call DrainSnapshots(), which
+// fences and waits for that count to read 0. Either the snapshot sees the
+// cleared slot, or the destructor waits until its read is done.
 //
 // Layering: taos_obs is the bottom library (src/base links against it), so
 // this header and diag.cc use the standard library only. The chaos probe
@@ -81,24 +84,11 @@ struct alignas(64) WaiterSlot {
   std::atomic<std::uint8_t> alertable{0};
   std::atomic<std::uint64_t> obj{0};       // spec::ObjId
   std::atomic<std::uint64_t> since_ns{0};  // NowNanos at publication
-  std::uint64_t tid = 0;                   // set once at registration
+  // The blocked-on object's holder word (its holding thread id, 0 when
+  // free), or null for kinds without an owner.
+  std::atomic<const std::atomic<std::uint32_t>*> holder{nullptr};
+  std::uint64_t tid = 0;  // set once at registration
 };
-
-namespace internal {
-extern std::atomic<bool> g_diag_enabled;
-}  // namespace internal
-
-// The owner-stamp gate: the only cost diagnosis adds to an uncontended
-// acquire when off is this relaxed load and a predicted branch.
-inline bool Enabled() {
-  return internal::g_diag_enabled.load(std::memory_order_relaxed);
-}
-
-// Runtime switch for the owner stamps (blocked-slot publication is
-// unconditional — it lives on paths that are about to de-schedule anyway).
-// Toggle while quiescent, like the recorder: flipping it mid-acquisition
-// only risks a stale or missing owner stamp, never a crash.
-void SetEnabled(bool on);
 
 // Allocates and registers the calling thread's slot (leaked: a thread's
 // last published state survives its exit until overwritten, so a dump can
@@ -109,32 +99,26 @@ WaiterSlot* RegisterWaiterSlot(std::uint64_t tid);
 // Seqlock write: callers hold whatever serializes writes to this slot (the
 // record's parking-lot lock in the production runtime).
 inline void PublishBlocked(WaiterSlot* s, WaitKind kind, std::uint64_t obj,
-                          std::uint64_t since_ns, bool alertable) {
+                          std::uint64_t since_ns, bool alertable,
+                          const std::atomic<std::uint32_t>* holder) {
   const std::uint32_t seq = s->seq.load(std::memory_order_relaxed);
   s->seq.store(seq + 1, std::memory_order_release);
   s->kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
   s->alertable.store(alertable ? 1 : 0, std::memory_order_relaxed);
   s->obj.store(obj, std::memory_order_relaxed);
   s->since_ns.store(since_ns, std::memory_order_relaxed);
+  s->holder.store(holder, std::memory_order_relaxed);
   s->seq.store(seq + 2, std::memory_order_release);
 }
 
 inline void ClearBlocked(WaiterSlot* s) {
-  PublishBlocked(s, WaitKind::kNone, 0, 0, false);
+  PublishBlocked(s, WaitKind::kNone, 0, 0, false, nullptr);
 }
 
-// --- owner table (object id -> holding thread) ---
-//
-// A fixed-size open-addressed table of {obj, owner} atomics: stamps claim
-// an empty slot with a CAS, clears free it again. Best-effort by design —
-// a full probe window drops the stamp, and a clear racing a stamp on a
-// just-recycled slot can transiently misattribute an owner. The watchdog
-// compensates by confirming any cycle across two consecutive snapshots.
-
-void StampOwner(std::uint64_t obj, std::uint64_t tid);
-void ClearOwner(std::uint64_t obj);
-// 0 when unknown (never stamped, dropped, or currently unowned).
-std::uint64_t OwnerOf(std::uint64_t obj);
+// Called by the destructor of every object whose holder word a slot can
+// name: waits until no SnapshotBlocked() is in flight (see the lifetime
+// note above). Costs one fence and one load when no snapshot runs.
+void DrainSnapshots();
 
 // --- snapshot and cycle detection ---
 
@@ -144,7 +128,7 @@ struct BlockedEdge {
   std::uint64_t since_ns = 0;
   WaitKind kind = WaitKind::kNone;
   bool alertable = false;
-  std::uint64_t owner = 0;  // OwnerOf(obj) at snapshot time; 0 = unknown
+  std::uint64_t owner = 0;  // read through the slot's holder; 0 = unknown
 };
 
 // Seqlock-consistent read of every registered slot that is currently
@@ -170,10 +154,12 @@ std::string FormatBlockedReport(const std::vector<BlockedEdge>& edges,
                                 const std::vector<Cycle>& cycles,
                                 std::uint64_t now_ns);
 
-// Chaos seam: called once per SnapshotBlocked(). Installed by the chaos
-// layer (which sits above obs) so the snapshot window is injectable
-// without this library depending on chaos.h.
-void SetSnapshotProbe(void (*probe)());
+// Chaos seam: called once per SnapshotBlocked(), after the slots are read
+// and before the owners are. Installed by the chaos layer (which sits above
+// obs) so the snapshot window is injectable without this library depending
+// on chaos.h. Returns the probe it replaces.
+using SnapshotProbe = void (*)();
+SnapshotProbe SetSnapshotProbe(SnapshotProbe probe);
 
 // --- the watchdog ---
 
@@ -219,8 +205,8 @@ class Watchdog {
   void Scan();
   // A cycle is only reported once the same members are seen blocked with
   // identical since_ns in two consecutive scans: real deadlocks are
-  // eternal, while an owner-table race or an in-flight wake can fake one
-  // for a single snapshot.
+  // eternal, while a barging handoff or an in-flight wake can fake one for
+  // a single snapshot.
   bool ConfirmedInPreviousScan(const Cycle& cycle) const;
   void Dump(const std::string& report);
 

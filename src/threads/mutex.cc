@@ -15,6 +15,10 @@ Mutex::Mutex() : id_(Nub::Get().NextObjId()) {}
 Mutex::~Mutex() {
   TAOS_CHECK(queue_.Empty());
   TAOS_CHECK(bit_.load(std::memory_order_relaxed) == 0);
+  // A waits-for snapshot may still be reading holder_ through a slot it
+  // found before the last waiter's slot was cleared.
+  TAOS_CHAOS(kDiagDestroyDrain);
+  obs::diag::DrainSnapshots();
 }
 
 void Mutex::AcquireSlow() {
@@ -93,7 +97,7 @@ void Mutex::NubAcquire(ThreadRecord* self) {
         // Still held: de-schedule this thread. It stays queued; Release will
         // make it ready.
         MarkBlocked(self, ThreadRecord::BlockKind::kMutex, this, id_, &nub_lock_,
-                    /*alertable=*/false);
+                    /*alertable=*/false, &holder_);
         parked = true;
       } else {
         // Released in the meantime: back out and retry the whole Acquire.
@@ -136,7 +140,7 @@ bool Mutex::NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         gen = ++self->next_timer_gen;
         SpinGuard tg(self->lock);
         SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
-                         &nub_lock_, /*alertable=*/false);
+                         &nub_lock_, /*alertable=*/false, &holder_);
         PublishTimedLocked(self, gen);
         parked = true;
       } else {
@@ -229,7 +233,7 @@ void Mutex::TracedAcquire(ThreadRecord* self, const spec::Action& emit,
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       MarkBlocked(self, ThreadRecord::BlockKind::kMutex, this, id_, &nub_lock_,
-                  /*alertable=*/false);
+                  /*alertable=*/false, &holder_);
     }
     ParkBlocked(self);
   }
@@ -265,7 +269,7 @@ bool Mutex::TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns) {
       queue_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
       SetBlockedLocked(self, ThreadRecord::BlockKind::kMutex, this, id_,
-                       &nub_lock_, /*alertable=*/false);
+                       &nub_lock_, /*alertable=*/false, &holder_);
       PublishTimedLocked(self, gen);
     }
     Timer::Get().Arm(self, gen, deadline_ns);

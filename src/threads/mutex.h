@@ -20,7 +20,8 @@
 // Departures from the paper, documented in DESIGN.md:
 //  - holder_ records the owning thread. The paper's implementation kept no
 //    holder (clients complained the debugger could not show one); we keep it
-//    to check the REQUIRES clause of Release and to support HolderForDebug().
+//    to check the REQUIRES clause of Release, to support HolderForDebug(),
+//    and so the waits-for snapshot (src/obs/diag.h) can name the owner.
 //  - queue_len_ is an atomic mirror of the queue length so Release's
 //    user-code "is the Queue non-empty?" test is a data-race-free load.
 //  - the Queue is guarded by this mutex's own ObjLock rather than the global
@@ -168,23 +169,13 @@ class Mutex {
   [[gnu::noinline]] void NubRelease();
 
   // Marks `self` as the holder (fast- and slow-path epilogue). The diag
-  // owner stamp rides the same funnel: one predicted branch on the
-  // uncontended path when diagnosis is off.
+  // snapshot reads the owner of a blocked-on mutex from this word.
   void NoteAcquired(ThreadRecord* self) {
     holder_.store(self->id, std::memory_order_relaxed);
-    if (obs::diag::Enabled()) [[unlikely]] {
-      TAOS_CHAOS(kDiagOwnerStamp);
-      obs::diag::StampOwner(id_, self->id);
-    }
   }
 
   // Clears the holder (every Release path, traced included).
-  void NoteReleased() {
-    holder_.store(spec::kNil, std::memory_order_relaxed);
-    if (obs::diag::Enabled()) [[unlikely]] {
-      obs::diag::ClearOwner(id_);
-    }
-  }
+  void NoteReleased() { holder_.store(spec::kNil, std::memory_order_relaxed); }
 
   // Traced (spec-emitting) paths. `emit` is the action recorded when the
   // acquisition succeeds: plain Acquire, or the Resume half of Wait /

@@ -18,6 +18,8 @@ ReaderWriterMutex::~ReaderWriterMutex() {
   TAOS_CHECK(readers_queue_.Empty());
   TAOS_CHECK(writers_queue_.Empty());
   TAOS_CHECK(word_.load(std::memory_order_relaxed) == 0);
+  TAOS_CHAOS(kDiagDestroyDrain);  // as in ~Mutex
+  obs::diag::DrainSnapshots();
 }
 
 // --- slow arms (recorder on or spec tracing on) ---
@@ -172,7 +174,7 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
       writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if (word_.load(std::memory_order_seq_cst) != 0) {
         MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                    &nub_lock_, /*alertable=*/false);
+                    &nub_lock_, /*alertable=*/false, &holder_);
         parked = true;
       } else {
         writers_queue_.Remove(self);
@@ -208,7 +210,7 @@ void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
       reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
         MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                    &nub_lock_, /*alertable=*/false);
+                    &nub_lock_, /*alertable=*/false, &holder_);
         parked = true;
       } else {
         readers_queue_.Remove(self);
@@ -246,7 +248,7 @@ bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
         gen = ++self->next_timer_gen;
         SpinGuard tg(self->lock);
         SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                         &nub_lock_, /*alertable=*/false);
+                         &nub_lock_, /*alertable=*/false, &holder_);
         PublishTimedLocked(self, gen);
         parked = true;
       } else {
@@ -291,7 +293,7 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
         gen = ++self->next_timer_gen;
         SpinGuard tg(self->lock);
         SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                         &nub_lock_, /*alertable=*/false);
+                         &nub_lock_, /*alertable=*/false, &holder_);
         PublishTimedLocked(self, gen);
         parked = true;
       } else {
@@ -387,7 +389,7 @@ void ReaderWriterMutex::TracedAcquire(ThreadRecord* self) {
       writers_queue_.PushBack(self);
       writer_q_len_.fetch_add(1, std::memory_order_relaxed);
       MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                  &nub_lock_, /*alertable=*/false);
+                  &nub_lock_, /*alertable=*/false, &holder_);
     }
     ParkBlocked(self);
   }
@@ -411,7 +413,7 @@ void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
       readers_queue_.PushBack(self);
       reader_q_len_.fetch_add(1, std::memory_order_relaxed);
       MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                  &nub_lock_, /*alertable=*/false);
+                  &nub_lock_, /*alertable=*/false, &holder_);
     }
     ParkBlocked(self);
   }
@@ -444,7 +446,7 @@ bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
       writer_q_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
       SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                       &nub_lock_, /*alertable=*/false);
+                       &nub_lock_, /*alertable=*/false, &holder_);
       PublishTimedLocked(self, gen);
     }
     Timer::Get().Arm(self, gen, deadline_ns);
@@ -479,7 +481,7 @@ bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
       reader_q_len_.fetch_add(1, std::memory_order_relaxed);
       SpinGuard tg(self->lock);
       SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                       &nub_lock_, /*alertable=*/false);
+                       &nub_lock_, /*alertable=*/false, &holder_);
       PublishTimedLocked(self, gen);
     }
     Timer::Get().Arm(self, gen, deadline_ns);

@@ -259,25 +259,16 @@ class ReaderWriterMutex {
   [[gnu::noinline]] void NubReleaseExclusive();
   [[gnu::noinline]] void NubWakeOneWriter();
 
-  // Exclusive-acquire epilogue; owner stamps mirror Mutex::NoteAcquired.
-  // Shared holders are deliberately NOT stamped: a reader-held rwmutex has
-  // no single owner, so the waits-for graph treats it as owner-unknown
-  // (which can hide a reader-writer deadlock from the cycle finder, but
-  // never invents one — the stall dump still shows every edge).
+  // Exclusive-acquire epilogue, as Mutex::NoteAcquired. Shared holders are
+  // deliberately NOT recorded: a reader-held rwmutex has no single owner,
+  // so the waits-for graph treats it as owner-unknown (which can hide a
+  // reader-writer deadlock from the cycle finder, but never invents one —
+  // the stall dump still shows every edge).
   void NoteAcquired(ThreadRecord* self) {
     holder_.store(self->id, std::memory_order_relaxed);
-    if (obs::diag::Enabled()) [[unlikely]] {
-      TAOS_CHAOS(kDiagOwnerStamp);
-      obs::diag::StampOwner(id_, self->id);
-    }
   }
 
-  void NoteReleased() {
-    holder_.store(spec::kNil, std::memory_order_relaxed);
-    if (obs::diag::Enabled()) [[unlikely]] {
-      obs::diag::ClearOwner(id_);
-    }
-  }
+  void NoteReleased() { holder_.store(spec::kNil, std::memory_order_relaxed); }
 
   // Traced (spec-emitting) paths; the same shape as Mutex's, with the
   // word manipulated under the ObjLock and the action emitted under

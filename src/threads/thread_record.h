@@ -155,12 +155,15 @@ static_assert(
 // Blocking-state transitions. The *Locked variants require t->lock held;
 // the Mark* variants take it, nested inside the blocked-on object's ObjLock
 // which every caller already holds (ordering rule 1 in nub.h). `obj_id` is
-// the blocked-on object's spec id (0 for baselines without one): it feeds
-// the waits-for registry, which must name objects by id, never by pointer
-// (see the teardown-safety note in src/obs/diag.h).
+// the blocked-on object's spec id (0 for baselines without one) and
+// `holder` its holder word, for the kinds that have an owner (Mutex,
+// ReaderWriterMutex): both feed the waits-for registry, whose snapshots
+// read the holder word under the lifetime rule in src/obs/diag.h.
 inline void SetBlockedLocked(ThreadRecord* t, ThreadRecord::BlockKind kind,
                              void* obj, spec::ObjId obj_id, ObjLock* obj_lock,
-                             bool alertable) {
+                             bool alertable,
+                             const std::atomic<spec::ThreadId>* holder =
+                                 nullptr) {
   t->block_kind = kind;
   t->blocked_obj = obj;
   t->blocked_lock = obj_lock;
@@ -171,7 +174,7 @@ inline void SetBlockedLocked(ThreadRecord* t, ThreadRecord::BlockKind kind,
   }
   obs::diag::PublishBlocked(t->diag_slot,
                             static_cast<obs::diag::WaitKind>(kind), obj_id,
-                            obs::NowNanos(), alertable);
+                            obs::NowNanos(), alertable, holder);
 }
 
 inline void ClearBlockedLocked(ThreadRecord* t) {
@@ -190,9 +193,10 @@ inline void ClearBlockedLocked(ThreadRecord* t) {
 
 inline void MarkBlocked(ThreadRecord* t, ThreadRecord::BlockKind kind,
                         void* obj, spec::ObjId obj_id, ObjLock* obj_lock,
-                        bool alertable) {
+                        bool alertable,
+                        const std::atomic<spec::ThreadId>* holder = nullptr) {
   SpinGuard g(t->lock);
-  SetBlockedLocked(t, kind, obj, obj_id, obj_lock, alertable);
+  SetBlockedLocked(t, kind, obj, obj_id, obj_lock, alertable, holder);
 }
 
 inline void MarkUnblocked(ThreadRecord* t) {

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -168,10 +169,11 @@ class ChaosRuntimeTest : public ::testing::Test {
 // signaller, AlertWait/AlertP against an alerter, rwlock readers against a
 // writer, poll/event/message-queue fan-in, and raw spin-lock contention
 // under whichever TAOS_LOCK core is active. Everything the named points
-// instrument, in whichever lock mode the caller configured. The diagnosis layer is switched on for the pass
-// and a snapshotter thread races SnapshotBlocked against the workload, so
-// the three diag windows (publish-to-park, owner-stamp, snapshot-read) are
-// crossed under injection too.
+// instrument, in whichever lock mode the caller configured. A snapshotter
+// thread races SnapshotBlocked against the workload, and short-lived heap
+// mutexes are blocked on and destroyed meanwhile, so the three diag windows
+// (publish-to-park, destroy-drain, snapshot-read) are crossed under
+// injection too.
 void MixedWorkloadPass() {
   Mutex m;
   Condition c;
@@ -181,7 +183,6 @@ void MixedWorkloadPass() {
   int counter = 0;
   std::atomic<bool> stop{false};
 
-  obs::diag::SetEnabled(true);
   std::thread snapshotter([&stop] {
     while (!stop.load(std::memory_order_acquire)) {
       (void)obs::diag::SnapshotBlocked();
@@ -373,12 +374,33 @@ void MixedWorkloadPass() {
     }
   }));
 
+  // Destroy traffic: a heap mutex and rwmutex are blocked on, released and
+  // deleted while the snapshotter runs, crossing the destroy-drain window
+  // against snapshots in flight.
+  threads.push_back(Thread::Fork([&] {
+    for (int j = 0; j < 20; ++j) {
+      auto mu = std::make_unique<Mutex>();
+      auto rwmu = std::make_unique<ReaderWriterMutex>();
+      mu->Acquire();
+      rwmu->Acquire();
+      Thread w = Thread::Fork([&] {
+        mu->Acquire();
+        mu->Release();
+        rwmu->AcquireShared();
+        rwmu->ReleaseShared();
+      });
+      std::this_thread::sleep_for(30us);
+      mu->Release();
+      rwmu->Release();
+      w.Join();
+    }
+  }));
+
   for (Thread& t : threads) {
     t.Join();
   }
   stop.store(true, std::memory_order_release);
   snapshotter.join();
-  obs::diag::SetEnabled(false);
 }
 
 TEST_F(ChaosRuntimeTest, FixedSeedMatrixCoversEveryPoint) {

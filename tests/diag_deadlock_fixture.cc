@@ -34,7 +34,6 @@ std::atomic<std::uint64_t> g_obj_b{0};
 
 int main() {
   using namespace std::chrono_literals;
-  taos::obs::diag::SetEnabled(true);
   taos::obs::SetRecorderEnabled(true);  // the dump's event tail has content
 
   // Guard: if the watchdog misses, fail crisply instead of hanging until
@@ -75,7 +74,11 @@ int main() {
     const std::set<std::uint64_t> want_objs = {
         g_obj_a.load(std::memory_order_relaxed),
         g_obj_b.load(std::memory_order_relaxed)};
-    if (objs != want_objs || tids.size() != 2) {
+    // Each edge must be owned by the other member: the exact cycle.
+    const auto& edges = cycles[0].edges;
+    const bool closed = edges[0].owner == edges[1].tid &&
+                        edges[1].owner == edges[0].tid;
+    if (objs != want_objs || tids.size() != 2 || !closed) {
       std::fprintf(stderr, "FAIL: cycle names the wrong threads/objects\n");
       std::_Exit(2);
     }

@@ -1,7 +1,8 @@
 // The contention-diagnosis layer (src/obs/diag): seqlock slot publication
-// and snapshots, the owner table, cycle detection over the waits-for graph
-// (pure), report formatting, a live blocked-thread snapshot against the
-// real runtime, and the watchdog's stall dump.
+// and snapshots, cycle detection over the waits-for graph (pure), report
+// formatting, live blocked-thread snapshots against the real runtime with
+// owners read from the objects, the snapshot-versus-destroy lifetime rule,
+// and the watchdog's stall and deadlock reports.
 //
 // The real-deadlock end-to-end check lives in diag_deadlock_fixture.cc (a
 // deliberately hung process cannot share a gtest binary).
@@ -12,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,7 +122,7 @@ TEST(DiagReportTest, FormatNamesThreadsObjectsAndCycles) {
 TEST(DiagSlotTest, PublishSnapshotClearRoundTrip) {
   obs::diag::WaiterSlot* slot = obs::diag::RegisterWaiterSlot(990001);
   obs::diag::PublishBlocked(slot, WaitKind::kCondition, 777, 123456,
-                            /*alertable=*/true);
+                            /*alertable=*/true, /*holder=*/nullptr);
   bool found = false;
   for (const BlockedEdge& e : obs::diag::SnapshotBlocked()) {
     if (e.tid == 990001) {
@@ -128,6 +131,20 @@ TEST(DiagSlotTest, PublishSnapshotClearRoundTrip) {
       EXPECT_EQ(e.obj, 777u);
       EXPECT_EQ(e.since_ns, 123456u);
       EXPECT_TRUE(e.alertable);
+      EXPECT_EQ(e.owner, 0u);
+    }
+  }
+  EXPECT_TRUE(found);
+  // An owner-bearing kind: the owner is read through the holder word.
+  std::atomic<std::uint32_t> holder{4242};
+  obs::diag::PublishBlocked(slot, WaitKind::kMutex, 778, 123457,
+                            /*alertable=*/false, &holder);
+  found = false;
+  for (const BlockedEdge& e : obs::diag::SnapshotBlocked()) {
+    if (e.tid == 990001) {
+      found = true;
+      EXPECT_EQ(e.obj, 778u);
+      EXPECT_EQ(e.owner, 4242u);
     }
   }
   EXPECT_TRUE(found);
@@ -137,74 +154,181 @@ TEST(DiagSlotTest, PublishSnapshotClearRoundTrip) {
   }
 }
 
-TEST(DiagOwnerTableTest, StampQueryRestampClear) {
-  // Large ids: well clear of the spec ObjIds live tests allocate.
-  const std::uint64_t obj = 0x7000'0001;
-  EXPECT_EQ(obs::diag::OwnerOf(obj), 0u);
-  obs::diag::StampOwner(obj, 41);
-  EXPECT_EQ(obs::diag::OwnerOf(obj), 41u);
-  obs::diag::StampOwner(obj, 42);  // restamp in place (barging handoff)
-  EXPECT_EQ(obs::diag::OwnerOf(obj), 42u);
-  obs::diag::ClearOwner(obj);
-  EXPECT_EQ(obs::diag::OwnerOf(obj), 0u);
-  // The freed cell is reusable by another object.
-  obs::diag::StampOwner(obj + 1, 43);
-  EXPECT_EQ(obs::diag::OwnerOf(obj + 1), 43u);
-  EXPECT_EQ(obs::diag::OwnerOf(obj), 0u);
-  obs::diag::ClearOwner(obj + 1);
-}
-
-// A real blocked thread is visible in a snapshot, with the owner resolved
-// through the acquire-epilogue stamp, and disappears after the grant.
-TEST(DiagRuntimeTest, LiveBlockedEdgeNamesObjectAndOwner) {
-  obs::diag::SetEnabled(true);
-  Mutex m;
-  m.Acquire();
-  const spec::ThreadId holder = Thread::Self().id();
-  EXPECT_EQ(obs::diag::OwnerOf(m.id()), holder);
-
-  std::atomic<spec::ThreadId> waiter_tid{spec::kNil};
-  Thread t = Thread::Fork([&] {
-    waiter_tid.store(Thread::Self().id(), std::memory_order_release);
-    m.Acquire();
-    m.Release();
-  });
-  while (waiter_tid.load(std::memory_order_acquire) == spec::kNil) {
-    std::this_thread::yield();
-  }
-
-  // Poll until the waiter's published edge shows up (it is about to park).
-  bool seen = false;
-  for (int i = 0; i < 10000 && !seen; ++i) {
+// Polls snapshots until `tid` shows up blocked on `obj`; returns that edge
+// (tid 0 if it never appears).
+BlockedEdge AwaitEdge(spec::ThreadId tid, spec::ObjId obj) {
+  for (int i = 0; i < 10000; ++i) {
     for (const BlockedEdge& e : obs::diag::SnapshotBlocked()) {
-      if (e.tid == waiter_tid.load(std::memory_order_relaxed) &&
-          e.obj == m.id()) {
-        seen = true;
-        EXPECT_EQ(e.kind, WaitKind::kMutex);
-        EXPECT_EQ(e.owner, holder);
-        EXPECT_FALSE(e.alertable);
-        EXPECT_GT(e.since_ns, 0u);
+      if (e.tid == tid && e.obj == obj) {
+        return e;
       }
     }
     std::this_thread::sleep_for(100us);
   }
-  EXPECT_TRUE(seen) << "blocked edge never appeared";
+  return BlockedEdge{};
+}
+
+// Forks `body` and returns once the new thread has published its id.
+Thread ForkAndGetId(std::function<void()> body, spec::ThreadId* tid) {
+  std::atomic<spec::ThreadId> id{spec::kNil};
+  Thread t = Thread::Fork([&id, body = std::move(body)] {
+    id.store(Thread::Self().id(), std::memory_order_release);
+    body();
+  });
+  while ((*tid = id.load(std::memory_order_acquire)) == spec::kNil) {
+    std::this_thread::yield();
+  }
+  return t;
+}
+
+// A real blocked thread is visible in a snapshot, with the owner read from
+// the mutex's holder word, and disappears after the grant.
+TEST(DiagRuntimeTest, LiveBlockedEdgeNamesObjectAndOwner) {
+  Mutex m;
+  m.Acquire();
+  const spec::ThreadId holder = Thread::Self().id();
+  EXPECT_EQ(m.HolderForDebug(), holder);
+
+  spec::ThreadId waiter = spec::kNil;
+  Thread t = ForkAndGetId(
+      [&] {
+        m.Acquire();
+        m.Release();
+      },
+      &waiter);
+
+  const BlockedEdge e = AwaitEdge(waiter, m.id());
+  ASSERT_EQ(e.tid, waiter) << "blocked edge never appeared";
+  EXPECT_EQ(e.kind, WaitKind::kMutex);
+  EXPECT_EQ(e.owner, holder);
+  EXPECT_FALSE(e.alertable);
+  EXPECT_GT(e.since_ns, 0u);
 
   m.Release();
   t.Join();
-  for (const BlockedEdge& e : obs::diag::SnapshotBlocked()) {
-    EXPECT_NE(e.tid, waiter_tid.load(std::memory_order_relaxed));
+  for (const BlockedEdge& b : obs::diag::SnapshotBlocked()) {
+    EXPECT_NE(b.tid, waiter);
   }
-  EXPECT_EQ(obs::diag::OwnerOf(m.id()), 0u);
-  obs::diag::SetEnabled(false);
+  EXPECT_EQ(m.HolderForDebug(), spec::kNil);
+}
+
+// Reader and writer waits on a ReaderWriterMutex both resolve to the
+// exclusive holder.
+TEST(DiagRuntimeTest, RwWaitersNameTheWriter) {
+  ReaderWriterMutex rw;
+  rw.Acquire();
+  const spec::ThreadId writer = Thread::Self().id();
+
+  spec::ThreadId reader = spec::kNil;
+  Thread r = ForkAndGetId(
+      [&] {
+        rw.AcquireShared();
+        rw.ReleaseShared();
+      },
+      &reader);
+  spec::ThreadId writer2 = spec::kNil;
+  Thread w = ForkAndGetId(
+      [&] {
+        rw.Acquire();
+        rw.Release();
+      },
+      &writer2);
+
+  const BlockedEdge re = AwaitEdge(reader, rw.id());
+  ASSERT_EQ(re.tid, reader) << "reader edge never appeared";
+  EXPECT_EQ(re.kind, WaitKind::kRwShared);
+  EXPECT_EQ(re.owner, writer);
+  const BlockedEdge we = AwaitEdge(writer2, rw.id());
+  ASSERT_EQ(we.tid, writer2) << "writer edge never appeared";
+  EXPECT_EQ(we.kind, WaitKind::kRwExclusive);
+  EXPECT_EQ(we.owner, writer);
+
+  rw.Release();
+  r.Join();
+  w.Join();
+}
+
+std::atomic<std::uint64_t> g_probes{0};
+
+// Snapshot probe for the lifetime test: holds each snapshot in flight
+// between its slot pass and its owner reads, long enough for a round's
+// release, join and delete to land inside that window.
+void HoldSnapshotInFlight() {
+  g_probes.fetch_add(1, std::memory_order_acq_rel);
+  std::this_thread::sleep_for(100us);
+}
+
+// The lifetime rule (DESIGN.md §14): a snapshot dereferences the holder
+// word of the object a thread is blocked on, so destroying that object
+// right after the waiter leaves must wait out any snapshot still reading
+// it. A snapshotter races heap objects that are blocked on, released,
+// joined and deleted; ASan reports the use-after-free if the destructors
+// stop draining.
+TEST(DiagLifetimeTest, DestroyRacesSnapshots) {
+  const obs::diag::SnapshotProbe saved_probe =
+      obs::diag::SetSnapshotProbe(&HoldSnapshotInFlight);
+  std::atomic<bool> stop{false};
+  std::thread snapshotter([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      (void)obs::diag::SnapshotBlocked();
+    }
+  });
+
+  // Blocks a forked thread on `acquire` and waits until a snapshot that
+  // began after the thread parked is holding in its probe, then lets
+  // `release` grant the thread and joins it.
+  auto round = [](const std::function<void()>& acquire,
+                  const std::function<void()>& release) {
+    std::atomic<ThreadRecord*> rec{nullptr};
+    Thread t = Thread::Fork([&] {
+      rec.store(Thread::Self().rec, std::memory_order_release);
+      acquire();
+    });
+    ThreadRecord* r;
+    while ((r = rec.load(std::memory_order_acquire)) == nullptr) {
+      std::this_thread::yield();
+    }
+    while (r->parks.load(std::memory_order_acquire) == 0) {
+      std::this_thread::yield();
+    }
+    // The next probe may belong to a pass that began before the park; the
+    // one after it cannot.
+    const std::uint64_t p0 = g_probes.load(std::memory_order_acquire);
+    while (g_probes.load(std::memory_order_acquire) < p0 + 2) {
+      std::this_thread::yield();
+    }
+    release();
+    t.Join();
+  };
+
+  constexpr int kRounds = 2000;
+  for (int i = 0; i < kRounds; ++i) {
+    auto* m = new Mutex;
+    m->Acquire();
+    round([m] { m->Acquire(); m->Release(); }, [m] { m->Release(); });
+    delete m;
+
+    auto* rw = new ReaderWriterMutex;
+    rw->Acquire();
+    if (i % 2 == 0) {
+      round([rw] { rw->AcquireShared(); rw->ReleaseShared(); },
+            [rw] { rw->Release(); });
+    } else {
+      round([rw] { rw->Acquire(); rw->Release(); }, [rw] { rw->Release(); });
+    }
+    delete rw;
+  }
+  stop.store(true, std::memory_order_release);
+  snapshotter.join();
+  obs::diag::SetSnapshotProbe(saved_probe);
 }
 
 // The watchdog flags a long-blocked thread as a stall and dumps the edge
 // (no cycle required), including the flight-recorder tail markers.
 TEST(DiagWatchdogTest, StallDumpNamesTheBlockedThread) {
-  obs::diag::SetEnabled(true);
   Mutex m;
   m.Acquire();
+  const spec::ThreadId holder = Thread::Self().id();
   std::atomic<bool> started{false};
   Thread t = Thread::Fork([&] {
     started.store(true, std::memory_order_release);
@@ -231,7 +355,6 @@ TEST(DiagWatchdogTest, StallDumpNamesTheBlockedThread) {
 
   m.Release();
   t.Join();
-  obs::diag::SetEnabled(false);
 
   std::rewind(out);
   std::string dump;
@@ -243,7 +366,89 @@ TEST(DiagWatchdogTest, StallDumpNamesTheBlockedThread) {
   std::fclose(out);
   EXPECT_NE(dump.find("taos waits-for snapshot"), std::string::npos) << dump;
   EXPECT_NE(dump.find("blocked on mutex obj"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("(held by thread " + std::to_string(holder) + ")"),
+            std::string::npos)
+      << dump;
   EXPECT_NE(dump.find("flight-recorder events"), std::string::npos) << dump;
+}
+
+// A planted exclusive/exclusive lock-order inversion across two
+// ReaderWriterMutexes is confirmed and named: both threads, both objects,
+// each edge owned by the other thread. The second thread's acquire is
+// timed and retried until the watchdog has fired, so the cycle then breaks
+// itself and the test can join.
+TEST(DiagWatchdogTest, RwMutexInversionNamesBothOwners) {
+  ReaderWriterMutex a;
+  ReaderWriterMutex b;
+  std::mutex mu;
+  std::vector<Cycle> reported;
+  std::atomic<bool> fired{false};
+
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  obs::diag::Watchdog watchdog;
+  obs::diag::Watchdog::Options options;
+  options.interval_ms = 10;
+  options.stall_ms = 0;  // deadlock detection only
+  options.out = out;
+  options.on_deadlock = [&](const std::string&,
+                            const std::vector<Cycle>& cycles) {
+    std::lock_guard<std::mutex> g(mu);
+    reported = cycles;
+    fired.store(true, std::memory_order_release);
+  };
+  watchdog.Start(options);
+
+  std::atomic<int> holding{0};
+  auto rendezvous = [&holding] {
+    holding.fetch_add(1, std::memory_order_acq_rel);
+    while (holding.load(std::memory_order_acquire) < 2) {
+      std::this_thread::yield();
+    }
+  };
+  spec::ThreadId t1 = spec::kNil;
+  Thread th1 = ForkAndGetId(
+      [&] {
+        a.Acquire();
+        rendezvous();
+        b.Acquire();  // granted once the second thread gives b up
+        b.Release();
+        a.Release();
+      },
+      &t1);
+  spec::ThreadId t2 = spec::kNil;
+  Thread th2 = ForkAndGetId(
+      [&] {
+        b.Acquire();
+        rendezvous();
+        for (int i = 0; i < 50 && !fired.load(std::memory_order_acquire);
+             ++i) {
+          EXPECT_EQ(a.AcquireFor(200ms), WaitResult::kTimeout);
+        }
+        b.Release();
+      },
+      &t2);
+  th2.Join();
+  th1.Join();
+  watchdog.Stop();
+  std::fclose(out);
+
+  ASSERT_TRUE(fired.load(std::memory_order_acquire))
+      << "watchdog never confirmed the inversion";
+  std::lock_guard<std::mutex> g(mu);
+  ASSERT_EQ(reported.size(), 1u);
+  ASSERT_EQ(reported[0].edges.size(), 2u);
+  for (const BlockedEdge& e : reported[0].edges) {
+    EXPECT_EQ(e.kind, WaitKind::kRwExclusive);
+    if (e.tid == t1) {
+      EXPECT_EQ(e.obj, b.id());
+      EXPECT_EQ(e.owner, t2);
+    } else {
+      EXPECT_EQ(e.tid, t2);
+      EXPECT_EQ(e.obj, a.id());
+      EXPECT_EQ(e.owner, t1);
+    }
+  }
 }
 
 // Watchdog lifecycle: restartable, stop is idempotent, scans advance.

@@ -390,5 +390,49 @@ TEST(ObsRecorderTest, ToggleWhileRunningIsSafe) {
   ParseAndCheckSchema(obs::DrainChromeTraceJson());
 }
 
+// The TAS spin-lock core stamps its release time only while the recorder
+// is on, so a contended acquire then records the releaser-to-winner
+// handoff into kLockHandoffNanos, as the queue cores always do.
+TEST(ObsRecorderTest, TasHandoffIsRecordedOnlyWhileRecorderIsOn) {
+  if (SpinLock::backend() != LockBackend::kTas) {
+    GTEST_SKIP() << "the release stamp is the TAS core's";
+  }
+  const auto handoffs = [] {
+    return obs::Snapshot().HistogramTotal(obs::Histogram::kLockHandoffNanos);
+  };
+  // One contended handoff: the spinner is in its spin when the holder
+  // releases (the sleep makes that near certain, not guaranteed).
+  const auto contend = [] {
+    SpinLock lock;
+    lock.Acquire();
+    std::atomic<bool> started{false};
+    std::thread spinner([&] {
+      started.store(true, std::memory_order_release);
+      lock.Acquire();
+      lock.Release();
+    });
+    while (!started.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    lock.Release();
+    spinner.join();
+  };
+
+  const std::uint64_t off_before = handoffs();
+  contend();
+  EXPECT_EQ(handoffs(), off_before);
+
+  obs::SetRecorderEnabled(true);
+  std::uint64_t recorded = 0;
+  for (int i = 0; i < 20 && recorded == 0; ++i) {
+    const std::uint64_t before = handoffs();
+    contend();
+    recorded = handoffs() - before;
+  }
+  obs::SetRecorderEnabled(false);
+  EXPECT_GT(recorded, 0u);
+}
+
 }  // namespace
 }  // namespace taos

@@ -6,10 +6,11 @@
 //  - with the flight recorder on, the operations record their events and
 //    still run the in-line body (fast counters move, the Nub does not);
 //  - with a spec trace sink installed, they emit their spec actions;
-//  - with diagnosis on, the exclusive acquires stamp their owner;
 //  - once each switch is off again, the same operations are back on the
 //    fast path: fast counters move, Nub::nub_entries does not, and nothing
-//    is recorded, emitted or stamped.
+//    is recorded or emitted;
+//  - the exclusive acquires and releases keep the holder word that
+//    diagnosis reads as the owner, in line.
 
 #include <cstdint>
 #include <functional>
@@ -20,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/obs/diag.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
@@ -211,38 +211,33 @@ TEST(FastPathGateTest, Event) {
        {}});
 }
 
-// Diagnosis is not a slow mode: the owner stamp is the acquire epilogue's
-// own predicted branch, in line.
+// The holder word that the waits-for snapshot reads as the owner is kept
+// by the in-line epilogues themselves: no switch, no Nub entry.
 template <typename M>
-void CheckOwnerStamp(M& m) {
-  const std::uint64_t self = Thread::Self().id();
+void CheckHolderTracking(M& m) {
+  const spec::ThreadId self = Thread::Self().id();
   const std::uint64_t nub_before = NubEntries();
-  obs::diag::SetEnabled(true);
   ASSERT_FALSE(obs::SlowMode());
+  EXPECT_EQ(m.HolderForDebug(), spec::kNil);
   m.Acquire();
-  EXPECT_EQ(obs::diag::OwnerOf(m.id()), self);
+  EXPECT_EQ(m.HolderForDebug(), self);
   m.Release();
-  EXPECT_EQ(obs::diag::OwnerOf(m.id()), 0u);
+  EXPECT_EQ(m.HolderForDebug(), spec::kNil);
   ASSERT_TRUE(m.TryAcquire());
-  EXPECT_EQ(obs::diag::OwnerOf(m.id()), self);
+  EXPECT_EQ(m.HolderForDebug(), self);
   m.Release();
-  EXPECT_EQ(obs::diag::OwnerOf(m.id()), 0u);
-  obs::diag::SetEnabled(false);
-
-  m.Acquire();
-  EXPECT_EQ(obs::diag::OwnerOf(m.id()), 0u) << "stamped with diagnosis off";
-  m.Release();
+  EXPECT_EQ(m.HolderForDebug(), spec::kNil);
   EXPECT_EQ(NubEntries(), nub_before);
 }
 
-TEST(FastPathGateTest, MutexStampsItsOwnerWithDiagnosisOn) {
+TEST(FastPathGateTest, MutexTracksItsHolderInLine) {
   Mutex m;
-  CheckOwnerStamp(m);
+  CheckHolderTracking(m);
 }
 
-TEST(FastPathGateTest, ReaderWriterMutexStampsItsWriterWithDiagnosisOn) {
+TEST(FastPathGateTest, ReaderWriterMutexTracksItsWriterInLine) {
   ReaderWriterMutex rw;
-  CheckOwnerStamp(rw);
+  CheckHolderTracking(rw);
 }
 
 }  // namespace

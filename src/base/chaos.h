@@ -58,7 +58,8 @@ enum class Point : std::uint32_t {
   kMutexBackout,         // bit found free: before leaving the queue
   kMutexWakeToRetry,     // unparked, before retrying the test-and-set
   kMutexReleaseWindow,   // Release: bit cleared, before the queue_len scan
-  kMutexTimedFinish,     // timed: timer cancelled, before the final retest
+  kMutexTimedFinish,     // unparked, timer (if armed) cancelled, before
+                         // the retest; crossed by untimed waits too
   // Semaphore slow paths — same seams as the mutex, P/V instead.
   kSemEnqueuedToTest,
   kSemBackout,
@@ -69,7 +70,8 @@ enum class Point : std::uint32_t {
   kCondReleaseToBlock,   // Wait: m released, before blocking (wakeup-waiting)
   kCondLockedToRecheck,  // Block: object lock taken, before re-reading the ec
   kCondSignalToResume,   // Signal: ec advanced, before picking a waiter
-  kCondTimedFinish,      // timed: timer cancelled, before reacquiring m
+  kCondTimedFinish,      // unparked, timer (if armed) cancelled, before
+                         // reacquiring m
   // Alert: the cancellation seams.
   kAlertFlagToCancel,    // alerted flag set, before cancelling the wait
   kAlertLockRetry,       // rule 3: object try-lock failed, before retrying

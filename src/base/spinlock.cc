@@ -283,7 +283,10 @@ bool SpinLock::QueueTryAcquire() {
   n->next.store(nullptr, std::memory_order_relaxed);
   n->locked.store(true, std::memory_order_relaxed);
   LockQNode* expected = nullptr;
-  if (tail_.compare_exchange_strong(expected, n, std::memory_order_acquire,
+  // acq_rel, like the acquire paths' exchange: the next waiter reads this
+  // node (CLH spins on its flag, MCS links into it), so its initialization
+  // must be published with it.
+  if (tail_.compare_exchange_strong(expected, n, std::memory_order_acq_rel,
                                     std::memory_order_relaxed)) {
     holder_node_.store(n, std::memory_order_relaxed);
     return true;

@@ -47,7 +47,7 @@ class HandoffMutex {
                                         std::memory_order_acquire)) {
         queue_.PushBack(self);
         MarkBlocked(self, ThreadRecord::BlockKind::kMutex, this, /*obj_id=*/0, &nub_lock_,
-                    /*alertable=*/false);
+                    /*alertable=*/false, kNoDeadline);
         parked = true;
       }
     }

@@ -37,15 +37,21 @@ const char* WaitKindName(WaitKind k) {
 
 namespace {
 
-// Slot registry. Slots are heap-allocated once per thread and never freed
-// (see RegisterWaiterSlot's contract in the header); the vector only grows,
-// and readers copy the pointers under the mutex before scanning lock-free.
+// Slot registry. Slots are heap-allocated and never freed (see
+// RegisterWaiterSlot's contract in the header); the vector only grows, and
+// readers copy the pointers under the mutex before scanning lock-free. The
+// free list holds the slots of threads that have ended, for reuse.
 std::mutex& SlotRegistryLock() {
   static std::mutex* m = new std::mutex;
   return *m;
 }
 
 std::vector<WaiterSlot*>& SlotRegistry() {
+  static std::vector<WaiterSlot*>* v = new std::vector<WaiterSlot*>;
+  return *v;
+}
+
+std::vector<WaiterSlot*>& FreeSlots() {
   static std::vector<WaiterSlot*>* v = new std::vector<WaiterSlot*>;
   return *v;
 }
@@ -70,11 +76,34 @@ void AppendMillis(std::string* out, std::uint64_t ns) {
 }  // namespace
 
 WaiterSlot* RegisterWaiterSlot(std::uint64_t tid) {
-  auto* slot = new WaiterSlot;
-  slot->tid = tid;
-  std::lock_guard<std::mutex> g(SlotRegistryLock());
-  SlotRegistry().push_back(slot);
+  WaiterSlot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> g(SlotRegistryLock());
+    if (!FreeSlots().empty()) {
+      slot = FreeSlots().back();
+      FreeSlots().pop_back();
+    } else {
+      slot = new WaiterSlot;
+      SlotRegistry().push_back(slot);
+    }
+  }
+  // A snapshot may be reading the slot under its previous owner: the new
+  // tid is a seqlock write like any other field.
+  const std::uint32_t seq = slot->seq.load(std::memory_order_relaxed);
+  slot->seq.store(seq + 1, std::memory_order_release);
+  slot->tid.store(tid, std::memory_order_relaxed);
+  slot->seq.store(seq + 2, std::memory_order_release);
   return slot;
+}
+
+void ReleaseWaiterSlot(WaiterSlot* s) {
+  std::lock_guard<std::mutex> g(SlotRegistryLock());
+  FreeSlots().push_back(s);
+}
+
+std::size_t WaiterSlotCountForDebug() {
+  std::lock_guard<std::mutex> g(SlotRegistryLock());
+  return SlotRegistry().size();
 }
 
 void DrainSnapshots() {
@@ -114,7 +143,7 @@ std::vector<BlockedEdge> SnapshotBlocked() {
         continue;
       }
       BlockedEdge e;
-      e.tid = s->tid;
+      e.tid = s->tid.load(std::memory_order_relaxed);
       e.kind = static_cast<WaitKind>(s->kind.load(std::memory_order_relaxed));
       e.alertable = s->alertable.load(std::memory_order_relaxed) != 0;
       e.obj = s->obj.load(std::memory_order_relaxed);

@@ -7,7 +7,8 @@
 // WHO is blocked on WHAT, and who was supposed to wake them? This header
 // materializes the blocking relation itself:
 //
-//   - Every thread owns one WaiterSlot. The blocking slow paths publish
+//   - Every thread that has blocked owns one WaiterSlot until it ends (the
+//     slot then goes back for reuse). The blocking slow paths publish
 //     BlockedOn{object id, wait kind, since_ns, holder word} into it right
 //     before de-scheduling and clear it on wake (src/threads/thread_record.h
 //     is the single funnel). Publication is seqlock-style: writers
@@ -48,6 +49,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -87,14 +89,23 @@ struct alignas(64) WaiterSlot {
   // The blocked-on object's holder word (its holding thread id, 0 when
   // free), or null for kinds without an owner.
   std::atomic<const std::atomic<std::uint32_t>*> holder{nullptr};
-  std::uint64_t tid = 0;  // set once at registration
+  // The owning thread; republished under `seq` when a slot is reused.
+  std::atomic<std::uint64_t> tid{0};
 };
 
-// Allocates and registers the calling thread's slot (leaked: a thread's
-// last published state survives its exit until overwritten, so a dump can
-// still name a thread that died blocked — which cannot happen for a thread
-// that exited cleanly, as its slot reads kNone).
+// Hands the calling thread a slot: one a finished thread gave back if there
+// is one, else a new one. Slots are never freed — a snapshot may still hold
+// a pointer to a slot whose thread has ended — so the registry is as large
+// as the most threads that ever held slots at once, not as every thread
+// that ever blocked.
 WaiterSlot* RegisterWaiterSlot(std::uint64_t tid);
+
+// Gives a slot back when its thread ends, for the next RegisterWaiterSlot.
+// The slot must read kNone: a thread does not end while blocked.
+void ReleaseWaiterSlot(WaiterSlot* s);
+
+// Registered slots, in use or free. Racy; for tests.
+std::size_t WaiterSlotCountForDebug();
 
 // Seqlock write: callers hold whatever serializes writes to this slot (the
 // record's parking-lot lock in the production runtime).

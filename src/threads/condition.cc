@@ -23,54 +23,24 @@ Condition::~Condition() {
 
 void Condition::Wait(Mutex& m) {
   obs::WithEvent(obs::Op::kWait, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
+    ThreadRecord* self = Nub::Current();
     // REQUIRES m = SELF.
     TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
-    if (nub.tracing()) {
-      TracedWait(m, self);
-      return;
-    }
-    // First read c's Eventcount (still inside the critical section)...
-    const EventCount::Value i = ec_.Read();
-    // ...announce ourselves to Signal's fast path before the critical section
-    // ends, so "no waiters" can never be concluded while we are in flight...
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    // ...then leave the critical section and call the Nub subroutine Block.
-    m.Release();
-    // The wakeup-waiting window: a Signal landing here must not be lost.
-    TAOS_CHAOS(kCondReleaseToBlock);
-    Block(self, i);
-    // On return from Block, re-enter a critical section.
-    m.Acquire();
+    WaitUntil(m, self, kNoDeadline);
   });
 }
 
 WaitResult Condition::WaitFor(Mutex& m, std::chrono::nanoseconds timeout) {
-  WaitResult result = WaitResult::kSatisfied;
+  WaitResult result = WaitResult::kTimeout;
   obs::WithEvent(obs::Op::kWait, id_, [&] {
-    Nub& nub = Nub::Get();
-    ThreadRecord* self = nub.Current();
+    ThreadRecord* self = Nub::Current();
     // REQUIRES m = SELF.
     TAOS_CHECK(m.holder_.load(std::memory_order_relaxed) == self->id);
-    if (timeout.count() <= 0) {
-      // The deadline has already passed: don't enqueue (and in traced mode
-      // don't emit — nothing changed). m stays held throughout.
-      result = WaitResult::kTimeout;
-      return;
+    // A nonpositive timeout has already passed: don't enqueue (and in
+    // traced mode don't emit — nothing changed). m stays held throughout.
+    if (timeout.count() > 0) {
+      result = WaitUntil(m, self, DeadlineAfter(timeout));
     }
-    const std::uint64_t deadline = DeadlineAfter(timeout);
-    if (nub.tracing()) {
-      result = TracedWaitFor(m, self, deadline);
-      return;
-    }
-    const EventCount::Value i = ec_.Read();
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    m.Release();
-    TAOS_CHAOS(kCondReleaseToBlock);
-    const bool expired = BlockFor(self, i, deadline);
-    m.Acquire();
-    result = expired ? WaitResult::kTimeout : WaitResult::kSatisfied;
   });
   obs::Inc(result == WaitResult::kSatisfied
                ? obs::Counter::kTimedWaitSatisfied
@@ -78,65 +48,50 @@ WaitResult Condition::WaitFor(Mutex& m, std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void Condition::Block(ThreadRecord* self, EventCount::Value i) {
+WaitResult Condition::WaitUntil(Mutex& m, ThreadRecord* self,
+                                std::uint64_t deadline_ns) {
+  if (Nub::Get().tracing()) {
+    return TracedWait(m, self, deadline_ns);
+  }
+  // First read c's Eventcount (still inside the critical section)...
+  const EventCount::Value i = ec_.Read();
+  // ...announce ourselves to Signal's fast path before the critical section
+  // ends, so "no waiters" can never be concluded while we are in flight...
+  waiters_.fetch_add(1, std::memory_order_seq_cst);
+  // ...then leave the critical section and call the Nub subroutine Block.
+  m.Release();
+  // The wakeup-waiting window: a Signal landing here must not be lost.
+  TAOS_CHAOS(kCondReleaseToBlock);
+  const bool expired = Block(self, i, deadline_ns);
+  // On return from Block, re-enter a critical section.
+  m.Acquire();
+  return expired ? WaitResult::kTimeout : WaitResult::kSatisfied;
+}
+
+bool Condition::Block(ThreadRecord* self, EventCount::Value i,
+                      std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubWait);
-  bool parked = false;
   {
     NubGuard g(nub_lock_);
     TAOS_CHAOS(kCondLockedToRecheck);
-    if (ec_.Read() == i) {
-      queue_.PushBack(self);
-      MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_, &nub_lock_,
-                  /*alertable=*/false);
-      parked = true;
-    } else {
+    if (ec_.Read() != i) {
       // A Signal or Broadcast intervened between the eventcount read and
       // now: return immediately. This is how the wakeup-waiting race is
       // covered, and why one Signal can unblock several threads.
       waiters_.fetch_sub(1, std::memory_order_relaxed);
       absorbed_.fetch_add(1, std::memory_order_relaxed);
       obs::Inc(obs::Counter::kWakeupWaitingHits);
+      return false;
     }
+    queue_.PushBack(self);
+    MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
+                &nub_lock_, /*alertable=*/false, deadline_ns);
   }
-  if (parked) {
-    ParkBlocked(self);
-  }
-}
-
-bool Condition::BlockFor(ThreadRecord* self, EventCount::Value i,
-                         std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(obs::Counter::kNubWait);
-  bool parked = false;
-  std::uint64_t gen = 0;
-  {
-    NubGuard g(nub_lock_);
-    TAOS_CHAOS(kCondLockedToRecheck);
-    if (ec_.Read() == i) {
-      queue_.PushBack(self);
-      gen = ++self->next_timer_gen;
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
-      parked = true;
-    } else {
-      waiters_.fetch_sub(1, std::memory_order_relaxed);
-      absorbed_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kWakeupWaitingHits);
-    }
-  }
-  if (!parked) {
-    return false;
-  }
-  Timer::Get().Arm(self, gen, deadline_ns);
-  ParkBlocked(self);
-  Timer::Get().Cancel(self, gen);
+  const bool expired = ParkBlockedUntil(self, deadline_ns);
   TAOS_CHAOS(kCondTimedFinish);
-  return ConsumeTimeoutWoken(self);
+  return expired;
 }
 
 void Condition::SignalSlow() {
@@ -234,9 +189,9 @@ bool Condition::ErasePendingTimeout(ThreadRecord* rec) {
   return true;
 }
 
-void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
+EventCount::Value Condition::TracedEnqueue(Mutex& m, ThreadRecord* self,
+                                           const spec::Action& enqueue) {
   Nub& nub = Nub::Get();
-  obs::Inc(obs::Counter::kNubWait);
   EventCount::Value snapshot = 0;
   ThreadRecord* wake = nullptr;
   {
@@ -246,12 +201,20 @@ void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
     snapshot = ec_.Read();
     wake = m.TracedReleaseLocked(self, /*emit_release=*/false);
     window_.push_back(self);
-    nub.EmitTraced(spec::MakeEnqueue(self->id, m.id_, id_));
+    nub.EmitTraced(enqueue);
   }
   if (wake != nullptr) {
     obs::Inc(obs::Counter::kHandoffs);
     wake->park.Unpark();
   }
+  return snapshot;
+}
+
+WaitResult Condition::TracedWait(Mutex& m, ThreadRecord* self,
+                                 std::uint64_t deadline_ns) {
+  obs::Inc(obs::Counter::kNubWait);
+  const EventCount::Value snapshot =
+      TracedEnqueue(m, self, spec::MakeEnqueue(self->id, m.id_, id_));
 
   // Nub subroutine Block(c, i).
   bool parked = false;
@@ -268,84 +231,28 @@ void Condition::TracedWait(Mutex& m, ThreadRecord* self) {
       TAOS_CHECK(EraseWindow(self));
       queue_.PushBack(self);
       MarkBlocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                  &nub_lock_, /*alertable=*/false);
+                  &nub_lock_, /*alertable=*/false, deadline_ns);
       parked = true;
     }
   }
-  if (parked) {
-    ParkBlocked(self);
-  }
 
-  // Atomic action Resume, emitted at the instant m is regained. Its WHEN
-  // clause reads c (SELF NOT-IN c) but the emission holds only m's lock:
-  // the Signal/Broadcast/Enqueue actions that changed SELF's membership all
-  // happened-before this point, so their stamps precede this one, and no
-  // other thread can re-insert SELF.
-  m.TracedAcquire(self, spec::MakeResume(self->id, m.id_, id_));
-}
-
-WaitResult Condition::TracedWaitFor(Mutex& m, ThreadRecord* self,
-                                    std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  obs::Inc(obs::Counter::kNubWait);
-  // Atomic action Enqueue, exactly as in TracedWait: a timed wait enters c
-  // the same way an untimed one does; only the way it may leave differs.
-  EventCount::Value snapshot = 0;
-  ThreadRecord* wake = nullptr;
-  {
-    NubGuard2 g(m.nub_lock_, &nub_lock_);
-    snapshot = ec_.Read();
-    wake = m.TracedReleaseLocked(self, /*emit_release=*/false);
-    window_.push_back(self);
-    nub.EmitTraced(spec::MakeEnqueue(self->id, m.id_, id_));
-  }
-  if (wake != nullptr) {
-    obs::Inc(obs::Counter::kHandoffs);
-    wake->park.Unpark();
-  }
-
-  // Block(c, i) with a deadline.
-  bool parked = false;
-  std::uint64_t gen = 0;
-  {
-    NubGuard g(nub_lock_);
-    if (ec_.Read() != snapshot) {
-      TAOS_DCHECK(std::find(window_.begin(), window_.end(), self) ==
-                  window_.end());
-      absorbed_.fetch_add(1, std::memory_order_relaxed);
-      obs::Inc(obs::Counter::kWakeupWaitingHits);
-    } else {
-      TAOS_CHECK(EraseWindow(self));
-      gen = ++self->next_timer_gen;
-      queue_.PushBack(self);
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kCondition, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
-      parked = true;
-    }
-  }
-  bool expired = false;
-  if (parked) {
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    expired = ConsumeTimeoutWoken(self);
-  }
-
-  if (expired) {
+  if (parked && ParkBlockedUntil(self, deadline_ns)) {
     // Atomic action TimeoutResume: regain m and leave c in one step. The
     // timer left SELF in pending_timeout_ — still a spec-member of c, as a
     // raiser stays in pending_raise_ — so the action's delete(c, SELF) and
     // the bookkeeping erase happen together under m's and c's locks.
     Condition* cp = this;
     m.TracedAcquire(self, spec::MakeTimeoutResume(self->id, m.id_, id_),
-                    &nub_lock_,
+                    kNoDeadline, &nub_lock_,
                     [cp, self] { cp->ErasePendingTimeout(self); });
     return WaitResult::kTimeout;
   }
-  // Atomic action Resume, as in TracedWait.
-  m.TracedAcquire(self, spec::MakeResume(self->id, m.id_, id_));
+  // Atomic action Resume, emitted at the instant m is regained. Its WHEN
+  // clause reads c (SELF NOT-IN c) but the emission holds only m's lock:
+  // the Signal/Broadcast/Enqueue actions that changed SELF's membership all
+  // happened-before this point, so their stamps precede this one, and no
+  // other thread can re-insert SELF.
+  m.TracedAcquire(self, spec::MakeResume(self->id, m.id_, id_), kNoDeadline);
   return WaitResult::kSatisfied;
 }
 

@@ -43,6 +43,7 @@
 #include "src/base/intrusive_queue.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
+#include "src/spec/action.h"
 #include "src/threads/mutex.h"
 #include "src/threads/thread_record.h"
 #include "src/threads/wait_result.h"
@@ -111,15 +112,17 @@ class Condition {
  private:
   friend class Timer;
   friend void Alert(ThreadHandle t);
-  friend void AlertWait(Mutex& m, Condition& c);
-  friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
-                                 std::chrono::nanoseconds timeout);
+  friend WaitResult AlertWaitUntil(Mutex& m, Condition& c, ThreadRecord* self,
+                                   std::uint64_t deadline_ns);
 
-  // Nub subroutine Block(c, i): sleep unless the eventcount moved past i.
-  void Block(ThreadRecord* self, EventCount::Value i);
-  // Block with a deadline; returns true iff the wait ended by expiry.
-  bool BlockFor(ThreadRecord* self, EventCount::Value i,
-                std::uint64_t deadline_ns);
+  // Wait's body after the REQUIRES check, shared by Wait (kNoDeadline) and
+  // WaitFor (its deadline): release m, Block, re-acquire m.
+  WaitResult WaitUntil(Mutex& m, ThreadRecord* self,
+                       std::uint64_t deadline_ns);
+  // Nub subroutine Block(c, i): sleep unless the eventcount moved past i,
+  // or until the deadline. Returns true iff the wait ended by expiry.
+  bool Block(ThreadRecord* self, EventCount::Value i,
+             std::uint64_t deadline_ns);
   // The in-line bodies, shared by the fast path and the slow arms' untraced
   // case.
   void SignalInline() {
@@ -145,10 +148,13 @@ class Condition {
   [[gnu::noinline]] void NubSignal();
   [[gnu::noinline]] void NubBroadcast();
 
-  // Traced (spec-emitting) paths.
-  void TracedWait(Mutex& m, ThreadRecord* self);
-  WaitResult TracedWaitFor(Mutex& m, ThreadRecord* self,
-                           std::uint64_t deadline_ns);
+  // Traced (spec-emitting) paths. TracedEnqueue is the Enqueue half that
+  // Wait and AlertWait share — release m, enter c's wakeup-waiting window,
+  // emit `enqueue` — and returns the eventcount snapshot Block tests.
+  EventCount::Value TracedEnqueue(Mutex& m, ThreadRecord* self,
+                                  const spec::Action& enqueue);
+  WaitResult TracedWait(Mutex& m, ThreadRecord* self,
+                        std::uint64_t deadline_ns);
   void TracedSignal(ThreadRecord* self);
   void TracedBroadcast(ThreadRecord* self);
   bool EraseWindow(ThreadRecord* rec);          // nub_lock_ held

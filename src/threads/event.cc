@@ -70,13 +70,10 @@ void Event::Wait() {
     Nub& nub = Nub::Get();
     ThreadRecord* self = nub.Current();
     if (nub.tracing()) {
-      TracedWait(self);
-      return;
+      TracedWait(self, kNoDeadline);
+    } else if (!TryConsume(std::memory_order_acquire)) {
+      NubWait(self, kNoDeadline);
     }
-    if (TryConsume(std::memory_order_acquire)) {
-      return;
-    }
-    NubWait(self);
   });
 }
 
@@ -88,14 +85,14 @@ WaitResult Event::WaitFor(std::chrono::nanoseconds timeout) {
     if (nub.tracing()) {
       const std::uint64_t deadline =
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-      result = TracedWaitFor(self, deadline) ? WaitResult::kSatisfied
-                                             : WaitResult::kTimeout;
+      result = TracedWait(self, deadline) ? WaitResult::kSatisfied
+                                          : WaitResult::kTimeout;
     } else if (TryConsume(std::memory_order_acquire)) {
       // Fast path tried even with an expired deadline: WaitFor(0) is
       // TryWait with a WaitResult.
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
-    } else if (!NubWaitFor(self, DeadlineAfter(timeout))) {
+    } else if (!NubWait(self, DeadlineAfter(timeout))) {
       result = WaitResult::kTimeout;
     }
   });
@@ -105,7 +102,7 @@ WaitResult Event::WaitFor(std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void Event::NubWait(ThreadRecord* self) {
+bool Event::NubWait(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
@@ -116,53 +113,15 @@ void Event::NubWait(ThreadRecord* self) {
       queue_len_.fetch_add(1, std::memory_order_seq_cst);
       if (set_.load(std::memory_order_seq_cst) == 0) {
         MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                    &nub_lock_, /*alertable=*/false);
+                    &nub_lock_, /*alertable=*/false, deadline_ns);
         parked = true;
       } else {
         queue_.Remove(self);
         queue_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    if (parked) {
-      ParkBlocked(self, /*spin=*/true);
-    }
-    if (TryConsume(std::memory_order_acquire)) {
-      return;
-    }
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
-bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    bool parked = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_seq_cst);
-      if (set_.load(std::memory_order_seq_cst) == 0) {
-        gen = ++self->next_timer_gen;
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-        parked = true;
-      } else {
-        queue_.Remove(self);
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self, /*spin=*/true);
-      Timer::Get().Cancel(self, gen);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
+    const bool expired =
+        parked && ParkBlockedUntil(self, deadline_ns, /*spin=*/true);
     // Consume FIRST, deadline second: a Set's grant is never converted into
     // a timeout by a co-incident expiry.
     if (TryConsume(std::memory_order_acquire)) {
@@ -171,7 +130,7 @@ bool Event::NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       return false;
     }
   }
@@ -301,50 +260,24 @@ void Event::TracedReset(ThreadRecord* self) {
   nub.EmitTraced(spec::MakeEventReset(self->id, id_));
 }
 
-void Event::TracedWait(ThreadRecord* self) {
+bool Event::TracedWait(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    {
-      NubGuard g(nub_lock_);
-      if (set_.load(std::memory_order_relaxed) != 0) {
-        if (reset_ == EventReset::kAuto) {
-          set_.store(0, std::memory_order_relaxed);
-          nub.EmitTraced(spec::MakeEventConsume(self->id, id_));
-        } else {
-          nub.EmitTraced(spec::MakeEventWait(self->id, id_));
-        }
-        return;
-      }
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                  &nub_lock_, /*alertable=*/false);
-    }
-    ParkBlocked(self, /*spin=*/true);
-  }
-}
-
-bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
       // Take-test before deadline-test: a grant beats a co-incident expiry.
       if (set_.load(std::memory_order_relaxed) != 0) {
+        SpinGuard tg(self->lock);
         if (reset_ == EventReset::kAuto) {
           set_.store(0, std::memory_order_relaxed);
-          SpinGuard tg(self->lock);
           nub.EmitTraced(spec::MakeEventConsume(self->id, id_));
         } else {
-          SpinGuard tg(self->lock);
           nub.EmitTraced(spec::MakeEventWait(self->id, id_));
         }
         return true;
       }
-      if (obs::NowNanos() >= deadline_ns) {
+      if (DeadlinePassed(deadline_ns)) {
         // WaitFor/TIMEOUT over the one-event set {e}: a no-op on s, one
         // atomic action under the object lock.
         spec::ObjIdSet ws;
@@ -353,18 +286,12 @@ bool Event::TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         nub.EmitTraced(spec::MakePollTimeout(self->id, ws));
         return false;
       }
-      gen = ++self->next_timer_gen;
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
+      MarkBlocked(self, ThreadRecord::BlockKind::kEvent, this, id_,
+                  &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self, /*spin=*/true);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
+    ParkBlockedUntil(self, deadline_ns, /*spin=*/true);  // loop top decides
   }
 }
 

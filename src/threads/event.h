@@ -141,14 +141,14 @@ class Event {
   [[gnu::noinline]] void ResetSlow();
   [[gnu::noinline]] bool TryWaitSlow();
 
-  void NubWait(ThreadRecord* self);
-  bool NubWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
+  // Wait's loops, untraced and traced: Wait passes kNoDeadline, WaitFor
+  // its deadline. Return false on timeout.
+  bool NubWait(ThreadRecord* self, std::uint64_t deadline_ns);
+  bool TracedWait(ThreadRecord* self, std::uint64_t deadline_ns);
   [[gnu::noinline]] void NubSet();
   void ResumeForSetLocked(std::vector<waitq::Parker*>* unparks);
   void TracedSet(ThreadRecord* self);
   void TracedReset(ThreadRecord* self);
-  void TracedWait(ThreadRecord* self);
-  bool TracedWaitFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   // The waiter-side claim: auto-reset exchanges the flag away, manual-reset
   // observes it.

@@ -112,6 +112,8 @@ class Mutex {
   friend void AlertWait(Mutex& m, Condition& c);
   friend WaitResult AlertWaitFor(Mutex& m, Condition& c,
                                  std::chrono::nanoseconds timeout);
+  friend WaitResult AlertWaitUntil(Mutex& m, Condition& c, ThreadRecord* self,
+                                   std::uint64_t deadline_ns);
 
   // The in-line bodies, shared by the fast path and the slow arms' untraced
   // case (the recorder arm wraps the same body in a ScopedEvent).
@@ -120,7 +122,7 @@ class Mutex {
     if (bit_.exchange(1, std::memory_order_acquire) == 0) [[likely]] {
       obs::Inc(obs::Counter::kFastMutexAcquire);
     } else {
-      NubAcquire(self);
+      NubAcquire(self, kNoDeadline);
     }
     NoteAcquired(self);
   }
@@ -155,15 +157,13 @@ class Mutex {
   [[gnu::noinline]] void ReleaseSlow(ThreadRecord* self);
 
   // Nub subroutine for Acquire: enqueue, re-test the lock bit, de-schedule
-  // if still held; retry the whole Acquire from the test-and-set.
-  [[gnu::noinline]] void NubAcquire(ThreadRecord* self);
-
-  // Deadline-carrying slow paths (AcquireFor). Each parked episode arms the
-  // process timer wheel (src/threads/timer.h); the timer dequeues an expired
-  // waiter exactly as Alert dequeues an alertable one. Return false on
-  // timeout.
-  bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
+  // if still held; retry the whole Acquire from the test-and-set. Acquire
+  // passes kNoDeadline; AcquireFor passes its deadline, and each parked
+  // episode then arms the process timer wheel (src/threads/timer.h), which
+  // dequeues an expired waiter exactly as Alert dequeues an alertable one.
+  // Returns false on timeout.
+  [[gnu::noinline]] bool NubAcquire(ThreadRecord* self,
+                                    std::uint64_t deadline_ns);
 
   // Nub subroutine for Release: unblock one queued thread.
   [[gnu::noinline]] void NubRelease();
@@ -180,17 +180,18 @@ class Mutex {
   // Traced (spec-emitting) paths. `emit` is the action recorded when the
   // acquisition succeeds: plain Acquire, or the Resume half of Wait /
   // AlertWait (which must be emitted at the instant the mutex is regained).
-  // When the successful action also touches a condition's state (the
-  // AlertResume/RAISES case leaves c's pending-raise set), `co_lock` names
-  // that condition's ObjLock; every attempt then takes both object locks in
-  // NubGuard2 order. `at_success` runs just before the emission, with the
-  // object lock(s) and self's record lock held, so the raise can atomically
-  // leave the pending-raise set and the alerts set as part of the same
-  // atomic action.
-  void TracedAcquire(ThreadRecord* self, const spec::Action& emit);
-  void TracedAcquire(ThreadRecord* self, const spec::Action& emit,
-                     ObjLock* co_lock,
-                     const std::function<void()>& at_success);
+  // `deadline_ns` is AcquireFor's: once it passes with m still held, the
+  // AcquireFor/TIMEOUT action is emitted and false returned. Every other
+  // caller passes kNoDeadline. When the successful action also touches a
+  // condition's state (the AlertResume/RAISES case leaves c's pending-raise
+  // set), `co_lock` names that condition's ObjLock; every attempt then
+  // takes both object locks in NubGuard2 order. `at_success` runs just
+  // before the emission, with the object lock(s) and self's record lock
+  // held, so the raise can atomically leave the pending-raise set and the
+  // alerts set as part of the same atomic action.
+  bool TracedAcquire(ThreadRecord* self, const spec::Action& emit,
+                     std::uint64_t deadline_ns, ObjLock* co_lock = nullptr,
+                     const std::function<void()>& at_success = nullptr);
   void TracedRelease(ThreadRecord* self);
 
   // Core of TracedRelease; caller holds this mutex's ObjLock. Returns the

@@ -12,6 +12,29 @@ constinit thread_local ThreadRecord* Nub::current_ = nullptr;
 
 namespace {
 
+// Armed by RegisterCurrent / AdoptRecord; its destructor runs when the
+// thread ends and gives the thread's waits-for slot back for reuse. A
+// separate thread_local, so current_ stays a plain constinit load on every
+// fast path.
+struct ThreadExitGuard {
+  ThreadRecord* rec = nullptr;
+  ~ThreadExitGuard() {
+    if (rec == nullptr) {
+      return;
+    }
+    obs::diag::WaiterSlot* slot = nullptr;
+    {
+      SpinGuard g(rec->lock);
+      slot = rec->diag_slot;
+      rec->diag_slot = nullptr;
+    }
+    if (slot != nullptr) {
+      obs::diag::ReleaseWaiterSlot(slot);
+    }
+  }
+};
+thread_local ThreadExitGuard t_exit_guard;
+
 bool GlobalLockModeFromEnv() {
   const char* v = std::getenv("TAOS_NUB_GLOBAL_LOCK");
   return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
@@ -50,10 +73,12 @@ ThreadRecord* Nub::CreateRecord() {
 void Nub::AdoptRecord(ThreadRecord* rec) {
   TAOS_CHECK(current_ == nullptr || current_ == rec);
   current_ = rec;
+  t_exit_guard.rec = rec;
 }
 
 ThreadRecord* Nub::RegisterCurrent() {
   current_ = Get().CreateRecord();
+  t_exit_guard.rec = current_;
   return current_;
 }
 

@@ -116,7 +116,9 @@ class Nub {
 
   // The calling thread's record, registering it on first use. In line and
   // guard-free: a constinit thread_local load and a predicted null test,
-  // with registration out of line.
+  // with registration out of line. Registration (and AdoptRecord) also arms
+  // a thread-exit guard that gives the thread's waits-for slot back when
+  // the thread ends (src/obs/diag.h).
   static ThreadRecord* Current() {
     ThreadRecord* rec = current_;
     if (rec == nullptr) [[unlikely]] {

@@ -165,7 +165,7 @@ bool Poll::ScanAll(PollNode* nodes, spec::ObjId* first_unset) {
   return ready;
 }
 
-Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
+Poll::Outcome Poll::WaitInternal(bool all, bool alertable,
                                  std::uint64_t deadline_ns) {
   // REQUIRES wait_set # {}: WaitAny over nothing can never be granted, and
   // WaitAll over nothing is vacuously granted — both are caller bugs.
@@ -173,7 +173,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
   Nub& nub = Nub::Get();
   ThreadRecord* self = nub.Current();
   if (nub.tracing()) {
-    return TracedWait(self, all, alertable, timed, deadline_ns);
+    return TracedWait(self, all, alertable, deadline_ns);
   }
   if (!all) {
     // Fast path, the shape of Event::Wait's: a member that is already set
@@ -222,7 +222,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
     }
     // Scan before deadline: a grant always beats a co-incident expiry. A
     // timeout observed here leaves a pending alert pending.
-    if (expired || (timed && obs::NowNanos() >= deadline_ns)) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       out = {WaitResult::kTimeout, n_};
       break;
     }
@@ -233,7 +233,6 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
       break;
     }
     parked = false;
-    std::uint64_t gen = 0;
     {
       SpinGuard tg(self->lock);
       if (alertable && self->alerted.load(std::memory_order_relaxed)) {
@@ -249,23 +248,13 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
                              : ThreadRecord::BlockKind::kPollAny,
                          this, all ? first_unset : events_[0]->id(),
                          /*obj_lock=*/nullptr, alertable);
-        if (timed) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
+        PublishDeadlineLocked(self, deadline_ns);
         parked = true;
       }
     }
     TAOS_CHAOS(kPollScanToPark);
     if (parked) {
-      if (timed) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-      }
-      ParkBlocked(self, /*spin=*/true);
-      if (timed) {
-        Timer::Get().Cancel(self, gen);
-        expired = ConsumeTimeoutWoken(self);
-      }
+      expired = ParkBlockedUntil(self, deadline_ns, /*spin=*/true);
       if (alertable && !expired) {
         SpinGuard tg(self->lock);
         if (self->alert_woken || self->alerted.load(std::memory_order_relaxed)) {
@@ -280,7 +269,7 @@ Poll::Outcome Poll::WaitInternal(bool all, bool alertable, bool timed,
 }
 
 Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
-                               bool timed, std::uint64_t deadline_ns) {
+                               std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   const spec::ObjIdSet ws = WaitSetIds();
@@ -360,7 +349,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
     if (parked) {
       obs::Inc(obs::Counter::kPollSpuriousScans);
     }
-    if (expired || (timed && obs::NowNanos() >= deadline_ns)) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       // WaitFor/TIMEOUT: a no-op on the wait set, one atomic action under
       // the record lock (it touches no object state).
       SpinGuard tg(self->lock);
@@ -377,7 +366,6 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
       break;
     }
     parked = false;
-    std::uint64_t gen = 0;
     {
       SpinGuard tg(self->lock);
       if (alertable && self->alerted.load(std::memory_order_relaxed)) {
@@ -388,23 +376,13 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
                              : ThreadRecord::BlockKind::kPollAny,
                          this, all ? first_unset : events_[0]->id(),
                          /*obj_lock=*/nullptr, alertable);
-        if (timed) {
-          gen = ++self->next_timer_gen;
-          PublishTimedLocked(self, gen);
-        }
+        PublishDeadlineLocked(self, deadline_ns);
         parked = true;
       }
     }
     TAOS_CHAOS(kPollScanToPark);
     if (parked) {
-      if (timed) {
-        Timer::Get().Arm(self, gen, deadline_ns);
-      }
-      ParkBlocked(self, /*spin=*/true);
-      if (timed) {
-        Timer::Get().Cancel(self, gen);
-        expired = ConsumeTimeoutWoken(self);
-      }
+      expired = ParkBlockedUntil(self, deadline_ns, /*spin=*/true);
       if (alertable && !expired) {
         SpinGuard tg(self->lock);
         if (self->alert_woken || self->alerted.load(std::memory_order_relaxed)) {
@@ -421,7 +399,7 @@ Poll::Outcome Poll::TracedWait(ThreadRecord* self, bool all, bool alertable,
 std::size_t Poll::WaitAny() {
   Outcome out{WaitResult::kSatisfied, 0};
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    out = WaitInternal(/*all=*/false, /*alertable=*/false, /*timed=*/false, 0);
+    out = WaitInternal(/*all=*/false, /*alertable=*/false, kNoDeadline);
   });
   return out.index;
 }
@@ -431,8 +409,7 @@ Poll::AnyResult Poll::WaitAnyFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/false, /*alertable=*/false, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/false, /*alertable=*/false, deadline);
   });
   obs::Inc(out.result == WaitResult::kSatisfied
                ? obs::Counter::kTimedWaitSatisfied
@@ -443,7 +420,7 @@ Poll::AnyResult Poll::WaitAnyFor(std::chrono::nanoseconds timeout) {
 std::size_t Poll::AlertWaitAny() {
   Outcome out{WaitResult::kSatisfied, 0};
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    out = WaitInternal(/*all=*/false, /*alertable=*/true, /*timed=*/false, 0);
+    out = WaitInternal(/*all=*/false, /*alertable=*/true, kNoDeadline);
   });
   if (out.result == WaitResult::kAlerted) {
     throw Alerted();
@@ -456,8 +433,7 @@ Poll::AnyResult Poll::AlertWaitAnyFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/false, /*alertable=*/true, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/false, /*alertable=*/true, deadline);
   });
   switch (out.result) {
     case WaitResult::kSatisfied:
@@ -475,7 +451,7 @@ Poll::AnyResult Poll::AlertWaitAnyFor(std::chrono::nanoseconds timeout) {
 
 void Poll::WaitAll() {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    WaitInternal(/*all=*/true, /*alertable=*/false, /*timed=*/false, 0);
+    WaitInternal(/*all=*/true, /*alertable=*/false, kNoDeadline);
   });
 }
 
@@ -484,8 +460,7 @@ WaitResult Poll::WaitAllFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/true, /*alertable=*/false, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/true, /*alertable=*/false, deadline);
   });
   obs::Inc(out.result == WaitResult::kSatisfied
                ? obs::Counter::kTimedWaitSatisfied
@@ -496,7 +471,7 @@ WaitResult Poll::WaitAllFor(std::chrono::nanoseconds timeout) {
 void Poll::AlertWaitAll() {
   Outcome out{WaitResult::kSatisfied, 0};
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
-    out = WaitInternal(/*all=*/true, /*alertable=*/true, /*timed=*/false, 0);
+    out = WaitInternal(/*all=*/true, /*alertable=*/true, kNoDeadline);
   });
   if (out.result == WaitResult::kAlerted) {
     throw Alerted();
@@ -508,8 +483,7 @@ WaitResult Poll::AlertWaitAllFor(std::chrono::nanoseconds timeout) {
   obs::WithEvent(obs::Op::kPoll, n_ > 0 ? events_[0]->id() : 0, [&] {
     const std::uint64_t deadline =
         timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-    out = WaitInternal(/*all=*/true, /*alertable=*/true, /*timed=*/true,
-                       deadline);
+    out = WaitInternal(/*all=*/true, /*alertable=*/true, deadline);
   });
   switch (out.result) {
     case WaitResult::kSatisfied:

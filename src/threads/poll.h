@@ -106,9 +106,10 @@ class Poll {
     std::size_t index;
   };
 
-  Outcome WaitInternal(bool all, bool alertable, bool timed,
-                       std::uint64_t deadline_ns);
-  Outcome TracedWait(ThreadRecord* self, bool all, bool alertable, bool timed,
+  // The wait loops, untraced and traced. The untimed entry points pass
+  // kNoDeadline; a nonpositive timeout becomes deadline 0, always past.
+  Outcome WaitInternal(bool all, bool alertable, std::uint64_t deadline_ns);
+  Outcome TracedWait(ThreadRecord* self, bool all, bool alertable,
                      std::uint64_t deadline_ns);
   std::size_t ScanAny(PollNode* nodes);
   // The member the k-th step of a WaitAny scan visits, and the record of a

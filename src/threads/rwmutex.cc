@@ -32,7 +32,7 @@ void ReaderWriterMutex::AcquireSlow() {
     return;
   }
   obs::Inc(obs::Counter::kNubAcquire);
-  TracedAcquire(nub.Current());
+  TracedAcquire(nub.Current(), kNoDeadline);
 }
 
 bool ReaderWriterMutex::TryAcquireSlow() {
@@ -69,7 +69,7 @@ void ReaderWriterMutex::AcquireSharedSlow() {
     return;
   }
   obs::Inc(obs::Counter::kNubAcquire);
-  TracedAcquireShared(nub.Current());
+  TracedAcquireShared(nub.Current(), kNoDeadline);
 }
 
 bool ReaderWriterMutex::TryAcquireSharedSlow() {
@@ -110,14 +110,14 @@ WaitResult ReaderWriterMutex::AcquireFor(std::chrono::nanoseconds timeout) {
       obs::Inc(obs::Counter::kNubAcquire);
       const std::uint64_t deadline =
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-      result = TracedAcquireFor(self, deadline) ? WaitResult::kSatisfied
-                                                : WaitResult::kTimeout;
+      result = TracedAcquire(self, deadline) ? WaitResult::kSatisfied
+                                             : WaitResult::kTimeout;
     } else if (WriterCas()) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
       NoteAcquired(self);
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
-    } else if (NubAcquireFor(self, DeadlineAfter(timeout))) {
+    } else if (NubAcquire(self, DeadlineAfter(timeout))) {
       NoteAcquired(self);
     } else {
       result = WaitResult::kTimeout;
@@ -139,14 +139,13 @@ WaitResult ReaderWriterMutex::AcquireSharedFor(
       obs::Inc(obs::Counter::kNubAcquire);
       const std::uint64_t deadline =
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-      result = TracedAcquireSharedFor(self, deadline)
-                   ? WaitResult::kSatisfied
-                   : WaitResult::kTimeout;
+      result = TracedAcquireShared(self, deadline) ? WaitResult::kSatisfied
+                                                   : WaitResult::kTimeout;
     } else if (SharedCasLoop()) {
       obs::Inc(obs::Counter::kFastMutexAcquire);
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
-    } else if (NubAcquireSharedFor(self, DeadlineAfter(timeout))) {
+    } else if (NubAcquireShared(self, DeadlineAfter(timeout))) {
       // Admitted by the retried CAS inside the slow path.
     } else {
       result = WaitResult::kTimeout;
@@ -158,9 +157,10 @@ WaitResult ReaderWriterMutex::AcquireSharedFor(
   return result;
 }
 
-// --- Nub (slow-path) subroutines, untimed ---
+// --- Nub (slow-path) subroutines, acquire side ---
 
-void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
+bool ReaderWriterMutex::NubAcquire(ThreadRecord* self,
+                                   std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
@@ -174,29 +174,33 @@ void ReaderWriterMutex::NubAcquire(ThreadRecord* self) {
       writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if (word_.load(std::memory_order_seq_cst) != 0) {
         MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                    &nub_lock_, /*alertable=*/false, &holder_);
+                    &nub_lock_, /*alertable=*/false, deadline_ns, &holder_);
         parked = true;
       } else {
         writers_queue_.Remove(self);
         writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    if (parked) {
-      ParkBlocked(self);
-    }
+    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
     // Retry the entire acquisition from the CAS; barging is possible
-    // exactly as in Mutex.
+    // exactly as in Mutex. CAS first, deadline second: a wake delivered
+    // because the lock was released is never thrown away on a co-incident
+    // expiry.
     if (WriterCas()) {
-      return;
+      return true;
     }
     obs::Inc(obs::Counter::kLockBitRetries);
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
+    if (expired || DeadlinePassed(deadline_ns)) {
+      return false;
+    }
   }
 }
 
-void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
+bool ReaderWriterMutex::NubAcquireShared(ThreadRecord* self,
+                                         std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubAcquire);
@@ -210,103 +214,14 @@ void ReaderWriterMutex::NubAcquireShared(ThreadRecord* self) {
       reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
       if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
         MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                    &nub_lock_, /*alertable=*/false, &holder_);
+                    &nub_lock_, /*alertable=*/false, deadline_ns, &holder_);
         parked = true;
       } else {
         readers_queue_.Remove(self);
         reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
-    if (parked) {
-      ParkBlocked(self);
-    }
-    if (SharedCasLoop()) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
-// --- Nub (slow-path) subroutines, timed ---
-
-bool ReaderWriterMutex::NubAcquireFor(ThreadRecord* self,
-                                      std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(obs::Counter::kNubAcquire);
-  for (;;) {
-    bool parked = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      writers_queue_.PushBack(self);
-      writer_q_len_.fetch_add(1, std::memory_order_seq_cst);
-      if (word_.load(std::memory_order_seq_cst) != 0) {
-        gen = ++self->next_timer_gen;
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                         &nub_lock_, /*alertable=*/false, &holder_);
-        PublishTimedLocked(self, gen);
-        parked = true;
-      } else {
-        writers_queue_.Remove(self);
-        writer_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
-    // CAS first, deadline second: a wake delivered because the lock was
-    // released must never be thrown away on a co-incident expiry.
-    if (WriterCas()) {
-      return true;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-    if (expired || obs::NowNanos() >= deadline_ns) {
-      return false;
-    }
-  }
-}
-
-bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
-                                            std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(obs::Counter::kNubAcquire);
-  for (;;) {
-    bool parked = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      readers_queue_.PushBack(self);
-      reader_q_len_.fetch_add(1, std::memory_order_seq_cst);
-      if ((word_.load(std::memory_order_seq_cst) & kWriterBit) != 0) {
-        gen = ++self->next_timer_gen;
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                         &nub_lock_, /*alertable=*/false, &holder_);
-        PublishTimedLocked(self, gen);
-        parked = true;
-      } else {
-        readers_queue_.Remove(self);
-        reader_q_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
-    }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
+    const bool expired = parked && ParkBlockedUntil(self, deadline_ns);
     if (SharedCasLoop()) {
       return true;
     }
@@ -314,7 +229,7 @@ bool ReaderWriterMutex::NubAcquireSharedFor(ThreadRecord* self,
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       return false;
     }
   }
@@ -372,30 +287,39 @@ void ReaderWriterMutex::NubWakeOneWriter() {
 
 // --- traced (spec-emitting) paths ---
 
-void ReaderWriterMutex::TracedAcquire(ThreadRecord* self) {
+bool ReaderWriterMutex::TracedAcquire(ThreadRecord* self,
+                                      std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
     {
       NubGuard g(nub_lock_);
       // WHEN rw.writer = NIL AND rw.readers = {}: the whole word is zero.
+      // The acquire test comes before the deadline test, so a grant always
+      // beats a co-incident expiry.
       if (word_.load(std::memory_order_relaxed) == 0) {
         word_.store(kWriterBit, std::memory_order_relaxed);
         NoteAcquired(self);
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
-        return;
+        return true;
+      }
+      if (DeadlinePassed(deadline_ns)) {
+        SpinGuard tg(self->lock);
+        nub.EmitTraced(spec::MakeRwAcquireTimeout(self->id, id_));
+        return false;
       }
       writers_queue_.PushBack(self);
       writer_q_len_.fetch_add(1, std::memory_order_relaxed);
       MarkBlocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                  &nub_lock_, /*alertable=*/false, &holder_);
+                  &nub_lock_, /*alertable=*/false, deadline_ns, &holder_);
     }
-    ParkBlocked(self);
+    ParkBlockedUntil(self, deadline_ns);  // the loop-top tests decide
   }
 }
 
-void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
+bool ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self,
+                                            std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
@@ -408,86 +332,19 @@ void ReaderWriterMutex::TracedAcquireShared(ThreadRecord* self) {
         word_.store(w + 1, std::memory_order_relaxed);
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
-        return;
-      }
-      readers_queue_.PushBack(self);
-      reader_q_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                  &nub_lock_, /*alertable=*/false, &holder_);
-    }
-    ParkBlocked(self);
-  }
-}
-
-bool ReaderWriterMutex::TracedAcquireFor(ThreadRecord* self,
-                                         std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      // The acquire test comes before the deadline test, so a grant always
-      // beats a co-incident expiry.
-      if (word_.load(std::memory_order_relaxed) == 0) {
-        word_.store(kWriterBit, std::memory_order_relaxed);
-        NoteAcquired(self);
-        SpinGuard tg(self->lock);
-        nub.EmitTraced(spec::MakeRwAcquire(self->id, id_));
         return true;
       }
-      if (obs::NowNanos() >= deadline_ns) {
-        SpinGuard tg(self->lock);
-        nub.EmitTraced(spec::MakeRwAcquireTimeout(self->id, id_));
-        return false;
-      }
-      gen = ++self->next_timer_gen;
-      writers_queue_.PushBack(self);
-      writer_q_len_.fetch_add(1, std::memory_order_relaxed);
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwExclusive, this, id_,
-                       &nub_lock_, /*alertable=*/false, &holder_);
-      PublishTimedLocked(self, gen);
-    }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
-  }
-}
-
-bool ReaderWriterMutex::TracedAcquireSharedFor(ThreadRecord* self,
-                                               std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      const std::uint32_t w = word_.load(std::memory_order_relaxed);
-      if ((w & kWriterBit) == 0) {
-        word_.store(w + 1, std::memory_order_relaxed);
-        SpinGuard tg(self->lock);
-        nub.EmitTraced(spec::MakeRwAcquireShared(self->id, id_));
-        return true;
-      }
-      if (obs::NowNanos() >= deadline_ns) {
+      if (DeadlinePassed(deadline_ns)) {
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakeRwAcquireSharedTimeout(self->id, id_));
         return false;
       }
-      gen = ++self->next_timer_gen;
       readers_queue_.PushBack(self);
       reader_q_len_.fetch_add(1, std::memory_order_relaxed);
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
-                       &nub_lock_, /*alertable=*/false, &holder_);
-      PublishTimedLocked(self, gen);
+      MarkBlocked(self, ThreadRecord::BlockKind::kRwShared, this, id_,
+                  &nub_lock_, /*alertable=*/false, deadline_ns, &holder_);
     }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);
+    ParkBlockedUntil(self, deadline_ns);
   }
 }
 

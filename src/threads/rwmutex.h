@@ -173,7 +173,7 @@ class ReaderWriterMutex {
     if (WriterCas()) [[likely]] {
       obs::Inc(obs::Counter::kFastMutexAcquire);
     } else {
-      NubAcquire(self);
+      NubAcquire(self, kNoDeadline);
     }
     NoteAcquired(self);
   }
@@ -207,7 +207,7 @@ class ReaderWriterMutex {
       obs::Inc(obs::Counter::kFastMutexAcquire);
       return;
     }
-    NubAcquireShared(Nub::Current());
+    NubAcquireShared(Nub::Current(), kNoDeadline);
   }
 
   bool TryAcquireSharedInline() {
@@ -247,11 +247,12 @@ class ReaderWriterMutex {
 
   // Nub subroutines: enqueue on the respective queue, re-test the word,
   // de-schedule if still excluded; retry the whole acquisition from the
-  // CAS. Untimed and timed — the same shapes as Mutex, over two queues.
-  [[gnu::noinline]] void NubAcquire(ThreadRecord* self);
-  [[gnu::noinline]] void NubAcquireShared(ThreadRecord* self);
-  bool NubAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool NubAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
+  // CAS. The same shape as Mutex::NubAcquire, over two queues: one loop
+  // per mode, kNoDeadline for the untimed calls; false on timeout.
+  [[gnu::noinline]] bool NubAcquire(ThreadRecord* self,
+                                    std::uint64_t deadline_ns);
+  [[gnu::noinline]] bool NubAcquireShared(ThreadRecord* self,
+                                          std::uint64_t deadline_ns);
 
   // Release-side Nub subroutines. An exclusive release drains the reader
   // queue and unblocks one writer; the last shared release unblocks one
@@ -272,11 +273,10 @@ class ReaderWriterMutex {
 
   // Traced (spec-emitting) paths; the same shape as Mutex's, with the
   // word manipulated under the ObjLock and the action emitted under
-  // self's record lock.
-  void TracedAcquire(ThreadRecord* self);
-  void TracedAcquireShared(ThreadRecord* self);
-  bool TracedAcquireFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool TracedAcquireSharedFor(ThreadRecord* self, std::uint64_t deadline_ns);
+  // self's record lock. A passed deadline emits the mode's TIMEOUT action
+  // and returns false.
+  bool TracedAcquire(ThreadRecord* self, std::uint64_t deadline_ns);
+  bool TracedAcquireShared(ThreadRecord* self, std::uint64_t deadline_ns);
   void TracedRelease(ThreadRecord* self);
   void TracedReleaseShared(ThreadRecord* self);
 

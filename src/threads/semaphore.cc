@@ -24,7 +24,7 @@ void Semaphore::PSlow() {
     return;
   }
   obs::Inc(obs::Counter::kNubP);
-  TracedP(nub.Current());
+  TracedP(nub.Current(), kNoDeadline);
 }
 
 bool Semaphore::TryPSlow() {
@@ -51,15 +51,15 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
       obs::Inc(obs::Counter::kNubP);
       const std::uint64_t deadline =
           timeout.count() > 0 ? DeadlineAfter(timeout) : 0;
-      result = TracedPFor(self, deadline) ? WaitResult::kSatisfied
-                                          : WaitResult::kTimeout;
+      result = TracedP(self, deadline) ? WaitResult::kSatisfied
+                                       : WaitResult::kTimeout;
     } else if (bit_.exchange(1, std::memory_order_acquire) == 0) {
       // Fast path tried even with an expired deadline: PFor(0) is TryP with
       // a WaitResult.
       obs::Inc(obs::Counter::kFastSemP);
     } else if (timeout.count() <= 0) {
       result = WaitResult::kTimeout;
-    } else if (!NubPFor(self, DeadlineAfter(timeout))) {
+    } else if (!NubP(self, DeadlineAfter(timeout))) {
       result = WaitResult::kTimeout;
     }
   });
@@ -69,7 +69,7 @@ WaitResult Semaphore::PFor(std::chrono::nanoseconds timeout) {
   return result;
 }
 
-void Semaphore::NubP(ThreadRecord* self) {
+bool Semaphore::NubP(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(obs::Counter::kNubP);
@@ -82,7 +82,7 @@ void Semaphore::NubP(ThreadRecord* self) {
       TAOS_CHAOS(kSemEnqueuedToTest);
       if (bit_.load(std::memory_order_seq_cst) != 0) {
         MarkBlocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                    &nub_lock_, /*alertable=*/false);
+                    &nub_lock_, /*alertable=*/false, deadline_ns);
         parked = true;
       } else {
         TAOS_CHAOS(kSemBackout);
@@ -90,52 +90,12 @@ void Semaphore::NubP(ThreadRecord* self) {
         queue_len_.fetch_sub(1, std::memory_order_relaxed);
       }
     }
+    bool expired = false;
     if (parked) {
-      ParkBlocked(self);
-    }
-    TAOS_CHAOS(kSemWakeToRetry);
-    if (bit_.exchange(1, std::memory_order_acquire) == 0) {
-      return;
-    }
-    obs::Inc(obs::Counter::kLockBitRetries);
-    if (parked) {
-      obs::Inc(obs::Counter::kSpuriousWakeups);
-    }
-  }
-}
-
-bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  obs::Inc(obs::Counter::kNubP);
-  for (;;) {
-    bool parked = false;
-    std::uint64_t gen = 0;
-    {
-      NubGuard g(nub_lock_);
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_seq_cst);
-      TAOS_CHAOS(kSemEnqueuedToTest);
-      if (bit_.load(std::memory_order_seq_cst) != 0) {
-        gen = ++self->next_timer_gen;
-        SpinGuard tg(self->lock);
-        SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                         &nub_lock_, /*alertable=*/false);
-        PublishTimedLocked(self, gen);
-        parked = true;
-      } else {
-        TAOS_CHAOS(kSemBackout);
-        queue_.Remove(self);
-        queue_len_.fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-    if (parked) {
-      Timer::Get().Arm(self, gen, deadline_ns);
-      ParkBlocked(self);
-      Timer::Get().Cancel(self, gen);
+      expired = ParkBlockedUntil(self, deadline_ns);
       TAOS_CHAOS(kSemTimedFinish);
     }
-    const bool expired = parked && ConsumeTimeoutWoken(self);
+    TAOS_CHAOS(kSemWakeToRetry);
     // Exchange FIRST, deadline second: a V's grant is never converted into
     // a timeout by a co-incident expiry.
     if (bit_.exchange(1, std::memory_order_acquire) == 0) {
@@ -145,7 +105,7 @@ bool Semaphore::NubPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
     if (parked) {
       obs::Inc(obs::Counter::kSpuriousWakeups);
     }
-    if (expired || obs::NowNanos() >= deadline_ns) {
+    if (expired || DeadlinePassed(deadline_ns)) {
       return false;
     }
   }
@@ -181,31 +141,10 @@ void Semaphore::NubV() {
   }
 }
 
-void Semaphore::TracedP(ThreadRecord* self) {
+bool Semaphore::TracedP(ThreadRecord* self, std::uint64_t deadline_ns) {
   Nub& nub = Nub::Get();
   nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
   for (;;) {
-    {
-      NubGuard g(nub_lock_);
-      if (bit_.load(std::memory_order_relaxed) == 0) {
-        bit_.store(1, std::memory_order_relaxed);
-        nub.EmitTraced(spec::MakeP(self->id, id_));
-        return;
-      }
-      queue_.PushBack(self);
-      queue_len_.fetch_add(1, std::memory_order_relaxed);
-      MarkBlocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                  &nub_lock_, /*alertable=*/false);
-    }
-    ParkBlocked(self);
-  }
-}
-
-bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
-  Nub& nub = Nub::Get();
-  nub.nub_entries.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    std::uint64_t gen = 0;
     {
       NubGuard g(nub_lock_);
       // Take-test before deadline-test: a grant beats a co-incident expiry.
@@ -215,26 +154,20 @@ bool Semaphore::TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns) {
         nub.EmitTraced(spec::MakeP(self->id, id_));
         return true;
       }
-      if (obs::NowNanos() >= deadline_ns) {
+      if (DeadlinePassed(deadline_ns)) {
         // PFor/TIMEOUT: a no-op on s, one atomic action under the object
-        // lock. Subsumes timeout_woken (round-up placement means an expiry
-        // implies the deadline is behind us).
+        // lock. Subsumes the expiry receipt (round-up placement means an
+        // expiry implies the deadline is behind us).
         SpinGuard tg(self->lock);
         nub.EmitTraced(spec::MakePTimeout(self->id, id_));
         return false;
       }
-      gen = ++self->next_timer_gen;
       queue_.PushBack(self);
       queue_len_.fetch_add(1, std::memory_order_relaxed);
-      SpinGuard tg(self->lock);
-      SetBlockedLocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
-                       &nub_lock_, /*alertable=*/false);
-      PublishTimedLocked(self, gen);
+      MarkBlocked(self, ThreadRecord::BlockKind::kSemaphore, this, id_,
+                  &nub_lock_, /*alertable=*/false, deadline_ns);
     }
-    Timer::Get().Arm(self, gen, deadline_ns);
-    ParkBlocked(self);
-    Timer::Get().Cancel(self, gen);
-    ConsumeTimeoutWoken(self);  // loop-top deadline check decides
+    ParkBlockedUntil(self, deadline_ns);  // the loop-top tests decide
   }
 }
 

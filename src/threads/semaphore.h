@@ -95,7 +95,7 @@ class Semaphore {
       obs::Inc(obs::Counter::kFastSemP);
       return;
     }
-    NubP(Nub::Current());
+    NubP(Nub::Current(), kNoDeadline);
   }
 
   bool TryPInline() {
@@ -123,15 +123,13 @@ class Semaphore {
   [[gnu::noinline]] bool TryPSlow();
   [[gnu::noinline]] void VSlow();
 
-  [[gnu::noinline]] void NubP(ThreadRecord* self);
+  // P's wait loops, untraced and traced: the structure of
+  // Mutex::NubAcquire / TracedAcquire. P passes kNoDeadline, PFor its
+  // deadline. Return false on timeout.
+  [[gnu::noinline]] bool NubP(ThreadRecord* self, std::uint64_t deadline_ns);
+  bool TracedP(ThreadRecord* self, std::uint64_t deadline_ns);
   [[gnu::noinline]] void NubV();
-  void TracedP(ThreadRecord* self);
   void TracedV(ThreadRecord* self);
-
-  // Deadline-carrying slow paths (PFor); see Mutex::NubAcquireFor, whose
-  // structure these mirror. Return false on timeout.
-  bool NubPFor(ThreadRecord* self, std::uint64_t deadline_ns);
-  bool TracedPFor(ThreadRecord* self, std::uint64_t deadline_ns);
 
   std::atomic<std::uint32_t> bit_{0};   // 1 iff unavailable
   std::atomic<std::int32_t> queue_len_{0};  // on bit_'s line, as in Mutex

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "src/base/intrusive_queue.h"
@@ -114,8 +115,9 @@ struct ThreadRecord {
   std::atomic<bool> ended_by_alert{false};
 
   // ---- owner-thread private (no lock) ----
-  // Source of `timer_gen` values: bumped by the owning thread at the start
-  // of each timed wait, before the new value is published under `lock`.
+  // Source of `timer_gen` values: bumped by the owning thread as it
+  // publishes a deadline under `lock` (PublishDeadlineLocked). Untimed
+  // waits leave it alone.
   std::uint64_t next_timer_gen = 0;
 
   // ---- guarded by the timer wheel's lock ----
@@ -152,6 +154,19 @@ static_assert(
             static_cast<int>(ThreadRecord::BlockKind::kPollAll),
     "obs::diag::WaitKind must mirror ThreadRecord::BlockKind");
 
+// The deadline of a wait that has none. An untimed wait is a timed wait
+// whose cancellation never arrives: every blocking loop in src/threads takes
+// a deadline, and the untimed entry points pass this one. DeadlineAfter
+// (timer.h) saturates to the same value instead of wrapping.
+inline constexpr std::uint64_t kNoDeadline =
+    std::numeric_limits<std::uint64_t>::max();
+
+// True once `deadline_ns` (obs::NowNanos timeline) is behind us. Never for
+// kNoDeadline, which reads no clock.
+inline bool DeadlinePassed(std::uint64_t deadline_ns) {
+  return deadline_ns != kNoDeadline && obs::NowNanos() >= deadline_ns;
+}
+
 // Blocking-state transitions. The *Locked variants require t->lock held;
 // the Mark* variants take it, nested inside the blocked-on object's ObjLock
 // which every caller already holds (ordering rule 1 in nub.h). `obj_id` is
@@ -159,6 +174,8 @@ static_assert(
 // `holder` its holder word, for the kinds that have an owner (Mutex,
 // ReaderWriterMutex): both feed the waits-for registry, whose snapshots
 // read the holder word under the lifetime rule in src/obs/diag.h.
+// MarkBlocked also publishes the episode's deadline (kNoDeadline for an
+// untimed wait).
 inline void SetBlockedLocked(ThreadRecord* t, ThreadRecord::BlockKind kind,
                              void* obj, spec::ObjId obj_id, ObjLock* obj_lock,
                              bool alertable,
@@ -191,36 +208,33 @@ inline void ClearBlockedLocked(ThreadRecord* t) {
   }
 }
 
+// Marks the blocked episode being published in this same critical section
+// (t->lock held) as having `deadline_ns`: a fresh timer generation, which
+// the owner alone draws, and a cleared expiry receipt. Clearing
+// timeout_woken here is what makes a leftover receipt from an earlier
+// episode harmless: the only reads are after an episode that published
+// first. A no-op for kNoDeadline, which draws no generation.
+inline void PublishDeadlineLocked(ThreadRecord* t, std::uint64_t deadline_ns) {
+  if (deadline_ns == kNoDeadline) {
+    return;
+  }
+  t->timed = true;
+  t->timer_gen = ++t->next_timer_gen;
+  t->timeout_woken = false;
+}
+
 inline void MarkBlocked(ThreadRecord* t, ThreadRecord::BlockKind kind,
                         void* obj, spec::ObjId obj_id, ObjLock* obj_lock,
-                        bool alertable,
+                        bool alertable, std::uint64_t deadline_ns,
                         const std::atomic<spec::ThreadId>* holder = nullptr) {
   SpinGuard g(t->lock);
   SetBlockedLocked(t, kind, obj, obj_id, obj_lock, alertable, holder);
+  PublishDeadlineLocked(t, deadline_ns);
 }
 
 inline void MarkUnblocked(ThreadRecord* t) {
   SpinGuard g(t->lock);
   ClearBlockedLocked(t);
-}
-
-// Marks the blocked episode being published in this same critical section
-// (t->lock held) as having a deadline. Clearing timeout_woken here is what
-// makes a leftover receipt from an earlier episode harmless: the only reads
-// are after an episode that published first.
-inline void PublishTimedLocked(ThreadRecord* t, std::uint64_t gen) {
-  t->timed = true;
-  t->timer_gen = gen;
-  t->timeout_woken = false;
-}
-
-// The waiter's post-wake read of the expiry receipt, cleared for the next
-// episode. Returns true iff the timer thread is what dequeued this waiter.
-inline bool ConsumeTimeoutWoken(ThreadRecord* t) {
-  SpinGuard g(t->lock);
-  const bool expired = t->timeout_woken;
-  t->timeout_woken = false;
-  return expired;
 }
 
 // "De-schedule this thread": park on the private parker, counting the
@@ -237,6 +251,15 @@ inline void ParkBlocked(ThreadRecord* t, bool spin = false) {
   t->park.Park(spin);
   obs::Record(obs::Histogram::kBlockedNanos, obs::NowNanos() - start);
 }
+
+// ParkBlocked for an episode published with `deadline_ns`: arms the timer
+// wheel before the park, cancels after it and consumes the expiry receipt.
+// Returns true iff the timer is what dequeued t. With kNoDeadline it is
+// ParkBlocked alone: no timer (so no timer thread is started) and no
+// record lock. Defined in timer.cc, the one place a blocking wait meets
+// the wheel.
+bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns,
+                      bool spin = false);
 
 // Opaque handle clients use to name a thread (e.g. Alert(t)).
 struct ThreadHandle {

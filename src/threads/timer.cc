@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 #include <thread>
 
 #include "src/base/chaos.h"
@@ -19,7 +18,6 @@
 namespace taos {
 
 namespace {
-constexpr std::uint64_t kForever = std::numeric_limits<std::uint64_t>::max();
 std::atomic<Timer*> g_timer{nullptr};
 }  // namespace
 
@@ -30,6 +28,22 @@ Timer& Timer::Get() {
     return t;
   }();
   return *timer;
+}
+
+bool ParkBlockedUntil(ThreadRecord* t, std::uint64_t deadline_ns, bool spin) {
+  if (deadline_ns == kNoDeadline) {
+    ParkBlocked(t, spin);
+    return false;
+  }
+  // PublishDeadlineLocked drew this generation for the episode being parked.
+  const std::uint64_t gen = t->next_timer_gen;
+  Timer::Get().Arm(t, gen, deadline_ns);
+  ParkBlocked(t, spin);
+  Timer::Get().Cancel(t, gen);
+  SpinGuard g(t->lock);
+  const bool expired = t->timeout_woken;
+  t->timeout_woken = false;
+  return expired;
 }
 
 Timer* Timer::InstanceIfStarted() {
@@ -256,7 +270,7 @@ void Timer::ThreadMain() {
       AdvanceLocked(obs::NowNanos(), &expired);
       if (expired.empty()) {
         next = NextWakeNsLocked();
-        wake_target_ns_ = next == 0 ? kForever : next;
+        wake_target_ns_ = next == 0 ? kNoDeadline : next;
       }
     }
     if (!expired.empty()) {

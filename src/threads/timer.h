@@ -12,17 +12,19 @@
 // wins, and a timed wait that loses the expiry-vs-grant race keeps the
 // grant.
 //
-// Arming protocol (the waiter's side):
-//   1. Under the record lock, while publishing the blocked state, the waiter
-//      also publishes `timed = true`, a fresh `timer_gen`, and clears
-//      `timeout_woken`.
-//   2. After dropping every lock (and before parking), it calls
-//      Arm(rec, gen, deadline). The parker's permit discipline makes the
-//      order safe: an expiry or grant that lands before the park just
-//      deposits the permit early.
-//   3. After waking it always calls Cancel(rec, gen), then reads
-//      `timeout_woken` under the record lock to learn whether the timer was
-//      what woke it.
+// Arming protocol (the waiter's side), owned by two helpers in
+// thread_record.h that every blocking loop calls with its deadline:
+//   1. PublishDeadlineLocked: under the record lock, while publishing the
+//      blocked state, the waiter also publishes `timed = true`, a fresh
+//      `timer_gen`, and clears `timeout_woken`.
+//   2. ParkBlockedUntil: after dropping every lock (and before parking), it
+//      calls Arm(rec, gen, deadline). The parker's permit discipline makes
+//      the order safe: an expiry or grant that lands before the park just
+//      deposits the permit early. After waking it always calls
+//      Cancel(rec, gen), then reads `timeout_woken` under the record lock
+//      to learn whether the timer was what woke it.
+// Both are no-ops around the plain park for kNoDeadline, so an untimed
+// wait never starts the timer thread.
 // A stale expiry (the waiter was granted, woke, maybe even re-blocked)
 // validates against `timed`/`timer_gen`/`block_kind` under the record lock
 // and becomes a no-op. `gen` values are per-thread and never reused, so the
@@ -48,7 +50,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -60,13 +61,13 @@
 namespace taos {
 
 // Converts a (positive) relative timeout into a deadline on the
-// obs::NowNanos timeline, saturating instead of wrapping for far-future
-// requests.
+// obs::NowNanos timeline, saturating to kNoDeadline instead of wrapping for
+// far-future requests.
 inline std::uint64_t DeadlineAfter(std::chrono::nanoseconds timeout) {
   const std::uint64_t now = obs::NowNanos();
   const std::uint64_t delta = static_cast<std::uint64_t>(timeout.count());
   const std::uint64_t deadline = now + delta;
-  return deadline < now ? std::numeric_limits<std::uint64_t>::max() : deadline;
+  return deadline < now ? kNoDeadline : deadline;
 }
 
 class Timer {
@@ -154,7 +155,7 @@ class Timer {
   std::uint64_t total_ = 0;
   std::uint64_t current_tick_ = 0;
   // The wake-up time the timer thread last committed to sleep until:
-  // 0 while it is awake (no unpark needed — it will recompute), UINT64_MAX
+  // 0 while it is awake (no unpark needed — it will recompute), kNoDeadline
   // while sleeping on an empty wheel. Guarded by lock_.
   std::uint64_t wake_target_ns_ = 0;
 

@@ -248,6 +248,40 @@ TEST(DiagRuntimeTest, RwWaitersNameTheWriter) {
   w.Join();
 }
 
+// A thread's waits-for slot goes back to a free list when the thread ends,
+// so the registry holds at most as many slots as threads ever held one at
+// once. Each batch of threads really parks (the snapshot shows every one
+// blocked) before it is released and joined.
+TEST(DiagSlotTest, EndedThreadsGiveTheirSlotsBack) {
+  constexpr int kThreads = 1000;
+  constexpr int kBatch = 8;
+  const std::size_t before = obs::diag::WaiterSlotCountForDebug();
+  for (int done = 0; done < kThreads; done += kBatch) {
+    Event go;
+    std::vector<Thread> batch;
+    for (int i = 0; i < kBatch; ++i) {
+      batch.push_back(Thread::Fork([&go] { go.Wait(); }));
+    }
+    for (;;) {
+      int parked = 0;
+      for (const BlockedEdge& e : obs::diag::SnapshotBlocked()) {
+        parked += e.obj == go.id() ? 1 : 0;
+      }
+      if (parked == kBatch) {
+        break;
+      }
+      std::this_thread::yield();
+    }
+    go.Set();
+    for (Thread& t : batch) {
+      t.Join();
+    }
+  }
+  // The peak is kBatch live workers plus this thread.
+  EXPECT_LE(obs::diag::WaiterSlotCountForDebug(),
+            std::max<std::size_t>(before, kBatch + 1));
+}
+
 std::atomic<std::uint64_t> g_probes{0};
 
 // Snapshot probe for the lifetime test: holds each snapshot in flight

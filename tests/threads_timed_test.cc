@@ -5,7 +5,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
 #include "src/threads/threads.h"
 #include "src/threads/timer.h"
 #include "src/threads/wait_result.h"
@@ -419,6 +423,144 @@ TEST(TimerSubsystemTest, WaitForSignalRaceStress) {
   m.Acquire();
   EXPECT_EQ(guarded, kWaiters * 300);
   m.Release();
+}
+
+// ---------------------------------------------------------------------------
+// One wait loop per primitive: untimed waits run the timed loop with
+// kNoDeadline, and a far-future deadline is still a timed wait.
+// ---------------------------------------------------------------------------
+
+// Forks `wait`, lets it park at least once, then runs `grant` and joins.
+// Returns the waiter's record (records live for the whole process).
+ThreadRecord* ParkOnceThenGrant(std::function<void()> wait,
+                                const std::function<void()>& grant) {
+  Thread t = Thread::Fork(std::move(wait));
+  ThreadRecord* rec = t.Handle().rec;
+  while (rec->parks.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  grant();
+  t.Join();
+  return rec;
+}
+
+// Parks once in every untimed wait and reports, as the exit code, whether
+// the timer thread stayed unstarted and no timer generation was drawn.
+void ParkInEveryUntimedWait() {
+  if (Timer::InstanceIfStarted() != nullptr) {
+    std::fprintf(stderr, "timer already running at start\n");
+    std::_Exit(2);
+  }
+  std::vector<ThreadRecord*> recs{Nub::Current()};
+  Mutex m;
+  Condition c;
+  m.Acquire();
+  recs.push_back(ParkOnceThenGrant([&] { m.Acquire(); m.Release(); },
+                                   [&] { m.Release(); }));
+  ReaderWriterMutex rw;
+  rw.Acquire();
+  recs.push_back(ParkOnceThenGrant(
+      [&] { rw.AcquireShared(); rw.ReleaseShared(); }, [&] { rw.Release(); }));
+  rw.AcquireShared();
+  recs.push_back(ParkOnceThenGrant([&] { rw.Acquire(); rw.Release(); },
+                                   [&] { rw.ReleaseShared(); }));
+  Semaphore s;
+  s.P();
+  recs.push_back(ParkOnceThenGrant([&] { s.P(); }, [&] { s.V(); }));
+  recs.push_back(ParkOnceThenGrant([&] { AlertP(s); }, [&] { s.V(); }));
+  s.V();
+  auto signal = [&] {
+    m.Acquire();
+    c.Signal();
+    m.Release();
+  };
+  recs.push_back(ParkOnceThenGrant(
+      [&] { m.Acquire(); c.Wait(m); m.Release(); }, signal));
+  recs.push_back(ParkOnceThenGrant(
+      [&] { m.Acquire(); AlertWait(m, c); m.Release(); }, signal));
+  Event e(EventReset::kAuto);
+  recs.push_back(ParkOnceThenGrant([&] { e.Wait(); }, [&] { e.Set(); }));
+  Event a(EventReset::kAuto);
+  Event b(EventReset::kAuto);
+  Poll p;
+  p.Add(a);
+  p.Add(b);
+  recs.push_back(ParkOnceThenGrant([&] { p.WaitAny(); }, [&] { b.Set(); }));
+  recs.push_back(ParkOnceThenGrant([&] { p.WaitAll(); }, [&] {
+    a.Set();
+    b.Set();
+  }));
+  bool ok = Timer::InstanceIfStarted() == nullptr;
+  for (ThreadRecord* rec : recs) {
+    ok = ok && rec->next_timer_gen == 0;
+  }
+  std::fprintf(stderr, ok ? "no timer\n" : "timer touched\n");
+  std::_Exit(ok ? 0 : 1);
+}
+
+// A fresh process ("threadsafe" re-executes the binary), so the timer that
+// earlier tests started is not inherited.
+TEST(UntimedWaitDeathTest, UntimedWaitsNeverStartTheTimer) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(ParkInEveryUntimedWait(), ::testing::ExitedWithCode(0),
+              "no timer");
+}
+
+// nanoseconds::max() puts the deadline far beyond the wheel's span (it is
+// clamped into the top level); a deadline that saturated would equal
+// kNoDeadline. Either way the wait is granted by another thread, reports
+// kSatisfied, and counts once as a satisfied timed wait.
+TEST(TimedFarFutureTest, MaxTimeoutIsGrantedAndCountedOnce) {
+  constexpr auto kMax = std::chrono::nanoseconds::max();
+  auto satisfied = [] {
+    return obs::Snapshot().Count(obs::Counter::kTimedWaitSatisfied);
+  };
+  auto check = [&](const char* what, const std::function<WaitResult()>& wait,
+                   const std::function<void()>& grant) {
+    const std::uint64_t before = satisfied();
+    std::atomic<int> result{-1};
+    ParkOnceThenGrant([&] { result.store(static_cast<int>(wait())); }, grant);
+    EXPECT_EQ(result.load(), static_cast<int>(WaitResult::kSatisfied)) << what;
+    EXPECT_EQ(satisfied() - before, 1u) << what;
+  };
+  Mutex m;
+  m.Acquire();
+  check("AcquireFor", [&] {
+    const WaitResult r = m.AcquireFor(kMax);
+    m.Release();
+    return r;
+  }, [&] { m.Release(); });
+  ReaderWriterMutex rw;
+  rw.Acquire();
+  check("AcquireSharedFor", [&] {
+    const WaitResult r = rw.AcquireSharedFor(kMax);
+    rw.ReleaseShared();
+    return r;
+  }, [&] { rw.Release(); });
+  Semaphore s;
+  s.P();
+  check("PFor", [&] { return s.PFor(kMax); }, [&] { s.V(); });
+  Condition c;
+  auto signal = [&] {
+    m.Acquire();
+    c.Signal();
+    m.Release();
+  };
+  check("Condition::WaitFor", [&] {
+    m.Acquire();
+    const WaitResult r = c.WaitFor(m, kMax);
+    m.Release();
+    return r;
+  }, signal);
+  Event e;
+  check("Event::WaitFor", [&] { return e.WaitFor(kMax); }, [&] { e.Set(); });
+  check("AlertWaitFor", [&] {
+    m.Acquire();
+    const WaitResult r = AlertWaitFor(m, c, kMax);
+    m.Release();
+    return r;
+  }, signal);
+  EXPECT_EQ(Timer::Get().ArmedForDebug(), 0u);
 }
 
 }  // namespace
